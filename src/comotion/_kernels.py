@@ -276,7 +276,10 @@ def chol_logpdf_np(x: np.ndarray, mean: np.ndarray, chol_lower: np.ndarray) -> n
     d = mean.shape[0]
     diff = (x - mean).T
     y = solve_triangular(chol_lower, diff, lower=True)
-    maha = (y * y).sum(axis=0)
+    # a distance too large for float64 is inf, a log-density of -inf, which
+    # the forward recursion reports as a collapse at its timestep
+    with np.errstate(over="ignore"):
+        maha = (y * y).sum(axis=0)
     logdet = 2.0 * np.log(np.diag(chol_lower)).sum()
     return -0.5 * (maha + logdet + d * _LOG_2PI)
 

@@ -109,6 +109,12 @@ def test_ik_unreachable_reports_gap():
 def test_ik_rejects_non_finite_target():
     with pytest.raises(ValueError, match="finite"):
         ik_baseline(planar_chain(), [np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ik_with_prior(planar_chain(), [np.nan, 0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [np.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], q_init=[0.0, np.inf])
 
 
 def test_ik_prior_consistent_target_is_fixed_point():
@@ -182,6 +188,98 @@ def test_ik_prior_run_ending_on_a_joint_limit_converges():
 def test_ik_prior_rejects_negative_weights():
     with pytest.raises(ValueError, match="non-negative"):
         ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], -1.0, 0.01)
+
+
+def _fk_reference(chain, q):
+    """End effector by the explicit matrix product, not clamped."""
+    t = chain.base.copy()
+    for joint, qi in zip(chain.joints, q):
+        t = t @ joint.offset @ rotation_about(joint.axis, qi)
+    return (t @ chain.tool)[:3, 3]
+
+
+def _central_difference_jacobian(chain, q, h=1e-6):
+    jac = np.empty((3, chain.n_joints))
+    for i in range(chain.n_joints):
+        dq = np.zeros(chain.n_joints)
+        dq[i] = h
+        jac[:, i] = (_fk_reference(chain, q + dq) - _fk_reference(chain, q - dq)) / (2 * h)
+    return jac
+
+
+def _random_rigid(rng, spread):
+    axis = rng.normal(size=3)
+    return translation(rng.uniform(-spread, spread, 3)) @ rotation_about(
+        axis / np.linalg.norm(axis), rng.uniform(-np.pi, np.pi)
+    )
+
+
+def _random_chain(rng, n):
+    """Rotated link offsets, oblique joint axes, and a non-identity base and tool."""
+    joints = []
+    for _ in range(n):
+        axis = rng.normal(size=3)
+        lo = rng.uniform(-3.0, -0.2)
+        hi = lo + rng.uniform(0.5, 5.0)
+        joints.append(Joint(_random_rigid(rng, 0.4), axis / np.linalg.norm(axis), lo, hi))
+    return KinematicChain(tuple(joints), _random_rigid(rng, 1.0), _random_rigid(rng, 0.3))
+
+
+def test_jacobian_matches_central_differences():
+    rng = np.random.default_rng(6)
+    chains = [default_arm_chain()] + [_random_chain(rng, n) for n in (1, 3, 5, 7)]
+    for chain in chains:
+        lo, hi = chain.limits
+        mixed = np.where(rng.random(lo.shape) < 0.5, lo, hi)
+        qs = [rng.uniform(lo, hi) for _ in range(5)] + [lo, hi, mixed]
+        for q in qs:
+            np.testing.assert_allclose(
+                jacobian(chain, q), _central_difference_jacobian(chain, q), rtol=0, atol=1e-7
+            )
+
+
+def test_fk_points_match_matrix_product():
+    rng = np.random.default_rng(7)
+    for chain in (default_arm_chain(), _random_chain(rng, 5)):
+        lo, hi = chain.limits
+        q = rng.uniform(lo, hi)
+        t = chain.base.copy()
+        origins = []
+        for joint, qi in zip(chain.joints, q):
+            t = t @ joint.offset @ rotation_about(joint.axis, qi)
+            origins.append(t[:3, 3])
+        expected = np.vstack(origins + [(t @ chain.tool)[:3, 3]])
+        np.testing.assert_allclose(fk_points(chain, q), expected, rtol=0, atol=1e-12)
+
+
+def test_ik_prior_restart_batch_matches_separate_runs():
+    """Each start of the batched restart search runs as it would alone: the
+    result is the best of nine single-start calls from the same starts, ties
+    going to the earliest, and the iterations are their sum."""
+    chain = default_arm_chain()
+    rng = np.random.default_rng(8)
+    lo, hi = chain.limits
+    mu_qs = [rng.uniform(lo, hi) for _ in range(20)]
+    targets = [fk(chain, rng.uniform(lo, hi)) + rng.normal(0.0, 0.03, 3) for _ in range(18)]
+    targets.append(np.array([1.0, 0.5, -0.2]))  # three times the arm's reach
+    targets.append(np.array([0.02, 0.0, 0.0]))  # nearer the shoulder than the elbow can fold
+    ends_on_limit = 0
+    for mu_q, target in zip(mu_qs, targets):
+        batch = ik_with_prior(chain, target, mu_q, 1.0, 0.01, restarts=8)
+        draws = np.random.default_rng(0)
+        starts = [chain.clamp(mu_q)] + [draws.uniform(lo, hi) for _ in range(8)]
+        alone = [
+            ik_with_prior(chain, target, mu_q, 1.0, 0.01, q_init=start, restarts=0)
+            for start in starts
+        ]
+        objs = [s.residual**2 + 0.01 * float(((s.q - mu_q) ** 2).sum()) for s in alone]
+        best = alone[int(np.argmin(objs))]
+        np.testing.assert_array_equal(batch.q, best.q)
+        assert batch.residual == best.residual
+        assert batch.converged == best.converged
+        assert batch.iterations == sum(s.iterations for s in alone)
+        ends_on_limit += bool(np.any((batch.q == lo) | (batch.q == hi)))
+    assert ends_on_limit >= 2
 
 
 def test_jacobian_matches_analytic_planar():
