@@ -1,277 +1,111 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Numeric kernels of the HMM: forward-backward recursions and Gaussian
+log-densities, in numpy.
 
-The sequential HMM recursions (forward, backward, transition-count
-accumulation) and batched Gaussian log-densities dominate the runtime of
-model fitting, so each kernel exists twice: a loop-style version compiled
-with ``numba.njit`` and a vectorized numpy fallback. Selection happens at
-import time: set ``COMOTION_NUMBA=0`` to force the numpy path (the default
-is numba whenever it imports). Both variants stay importable under their
-``*_nb`` / ``*_np`` names so the benchmark CLI and the agreement tests can
-compare them directly.
+The recursions run in log space and normalize every step (Rabiner 1989,
+"A Tutorial on Hidden Markov Models...", section V.A, with log normalizers
+in place of scale factors). Unlike probability-space scaling, a state whose
+mass falls below the float64 range (e^-745) keeps a finite log probability
+instead of dropping to zero, so later evidence can still revive it.
+
+Each recursion is batched over a leading sequence axis and loops over time
+once for all sequences. Sequences of different lengths are padded at the
+end to a common length T with zero log-likelihood rows; an (S, T) boolean
+mask marks the real steps. The forward pass is causal, so padding never
+reaches a real step; the backward pass and the transition counts take the
+mask.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("COMOTION_NUMBA", "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+# Always False: every kernel is plain numpy. Kept because the benchmark
+# records this flag in the metadata of each run.
+USE_NUMBA = False
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------------------
-# forward recursion (log space, per-step normalization)
-# ---------------------------------------------------------------------------
+def predict_log(log_alpha: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+    """One-step state prediction, log sum_i alpha_i A_ij, over the last axis.
 
-
-def forward_log_np(log_lik: np.ndarray, log_pi: np.ndarray, log_trans: np.ndarray):
-    """Normalized forward probabilities and per-step log normalizers.
-
-    log_lik: (T, N) per-state observation log-likelihoods.
-    Returns (alpha (T, N) rows summing to 1, log_norm (T,)); the sequence
-    log-likelihood is ``log_norm.sum()``. A ``-inf`` normalizer marks a
-    numerically collapsed step; the caller decides how to report it.
+    A state no state in the support of alpha reaches gets -inf.
     """
-    T, N = log_lik.shape
-    alpha = np.empty((T, N))
-    log_norm = np.empty(T)
-    la = log_pi + log_lik[0]
-    for t in range(T):
-        if t > 0:
-            la = log_lik[t] + _logsumexp_rows(la[:, None] + log_trans)
-        m = la.max()
-        if not np.isfinite(m):
-            log_norm[t:] = -np.inf
-            alpha[t:] = np.nan
-            return alpha, log_norm
-        ln = m + np.log(np.exp(la - m).sum())
-        log_norm[t] = ln
-        row = np.exp(la - ln)
-        alpha[t] = row
-        la = la - ln
-    return alpha, log_norm
+    return np.logaddexp.reduce(log_alpha[..., :, None] + log_trans, axis=-2)
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=0)
-    out = np.full(a.shape[1], -np.inf)
-    ok = np.isfinite(m)  # unreachable states stay at -inf, not nan
-    if ok.any():
-        out[ok] = m[ok] + np.log(np.exp(a[:, ok] - m[ok]).sum(axis=0))
-    return out
+def forward_log(log_lik: np.ndarray, log_pi: np.ndarray, log_trans: np.ndarray):
+    """Normalized log forward variable and per-step log normalizers.
+
+    log_lik: (S, T, N) per-state observation log-likelihoods of S sequences.
+    Returns (log_alpha (S, T, N), each row normalized to log-sum 0,
+    log_norm (S, T)); a sequence's log-likelihood is the sum of its
+    normalizers over its real steps. A non-finite normalizer marks a
+    collapsed step (no state explains the observation); every later step
+    of that sequence is non-finite too, and the caller decides how to
+    report it.
+    """
+    S, T, N = log_lik.shape
+    log_alpha = np.empty((S, T, N))
+    log_norm = np.empty((S, T))
+    la = log_pi + log_lik[:, 0]
+    # a collapsed row is all -inf; normalizing it gives nan, on purpose, and
+    # the nan carries through every later step of that sequence
+    with np.errstate(invalid="ignore"):
+        for t in range(T):
+            if t > 0:
+                la = log_lik[:, t] + predict_log(la, log_trans)
+            ln = np.logaddexp.reduce(la, axis=-1)
+            la = la - ln[:, None]
+            log_alpha[:, t] = la
+            log_norm[:, t] = ln
+    return log_alpha, log_norm
 
 
-@njit(cache=True)
-def forward_log_nb(log_lik, log_pi, log_trans):  # pragma: no cover - jitted
-    T, N = log_lik.shape
-    alpha = np.empty((T, N))
-    log_norm = np.empty(T)
-    la = np.empty(N)
-    work = np.empty(N)
-    for i in range(N):
-        la[i] = log_pi[i] + log_lik[0, i]
-    for t in range(T):
-        if t > 0:
-            for i in range(N):
-                m = -np.inf
-                for j in range(N):
-                    v = la[j] + log_trans[j, i]
-                    if v > m:
-                        m = v
-                if m == -np.inf:
-                    work[i] = -np.inf
-                else:
-                    s = 0.0
-                    for j in range(N):
-                        s += math.exp(la[j] + log_trans[j, i] - m)
-                    work[i] = m + math.log(s)
-            for i in range(N):
-                la[i] = work[i] + log_lik[t, i]
-        m = -np.inf
-        for i in range(N):
-            if la[i] > m:
-                m = la[i]
-        if m == -np.inf or np.isnan(m):
-            for tt in range(t, T):
-                log_norm[tt] = -np.inf
-                for i in range(N):
-                    alpha[tt, i] = np.nan
-            return alpha, log_norm
-        s = 0.0
-        for i in range(N):
-            s += math.exp(la[i] - m)
-        ln = m + math.log(s)
-        log_norm[t] = ln
-        for i in range(N):
-            la[i] = la[i] - ln
-            alpha[t, i] = math.exp(la[i])
-    return alpha, log_norm
+def backward_log(log_lik: np.ndarray, log_trans: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Log backward variable, shifted so each row's maximum is 0.
 
-
-# ---------------------------------------------------------------------------
-# backward recursion (log space)
-# ---------------------------------------------------------------------------
-
-
-def backward_log_np(log_lik: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
-    T, N = log_lik.shape
-    log_beta = np.zeros((T, N))
+    The shift keeps magnitudes bounded; it cancels in the posteriors. A
+    sequence's last real step and its padding get log beta = 0.
+    """
+    T = log_lik.shape[1]
+    log_beta = np.zeros_like(log_lik)
     for t in range(T - 2, -1, -1):
-        a = log_trans + (log_lik[t + 1] + log_beta[t + 1])[None, :]
-        m = a.max(axis=1)
-        log_beta[t] = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-        # keep magnitudes bounded; constants cancel in the posteriors
-        log_beta[t] -= log_beta[t].max()
+        lb = np.logaddexp.reduce(
+            log_trans + (log_lik[:, t + 1] + log_beta[:, t + 1])[:, None, :], axis=-1
+        )
+        lb -= lb.max(axis=-1, keepdims=True)
+        log_beta[:, t] = np.where(mask[:, t + 1, None], lb, 0.0)
     return log_beta
 
 
-@njit(cache=True)
-def backward_log_nb(log_lik, log_trans):  # pragma: no cover - jitted
-    T, N = log_lik.shape
-    log_beta = np.zeros((T, N))
-    for t in range(T - 2, -1, -1):
-        row_max = -np.inf
-        for i in range(N):
-            m = -np.inf
-            for j in range(N):
-                v = log_trans[i, j] + log_lik[t + 1, j] + log_beta[t + 1, j]
-                if v > m:
-                    m = v
-            s = 0.0
-            for j in range(N):
-                s += math.exp(
-                    log_trans[i, j] + log_lik[t + 1, j] + log_beta[t + 1, j] - m
-                )
-            log_beta[t, i] = m + math.log(s)
-            if log_beta[t, i] > row_max:
-                row_max = log_beta[t, i]
-        for i in range(N):
-            log_beta[t, i] -= row_max
-    return log_beta
-
-
-# ---------------------------------------------------------------------------
-# expected transition counts (sum of normalized xi over time)
-# ---------------------------------------------------------------------------
-
-
-def xi_counts_np(
+def xi_counts(
     log_alpha: np.ndarray,
     log_beta: np.ndarray,
     log_lik: np.ndarray,
     log_trans: np.ndarray,
+    mask: np.ndarray,
 ) -> np.ndarray:
-    T, N = log_lik.shape
-    counts = np.zeros((N, N))
-    for t in range(1, T):
-        a = (
-            log_alpha[t - 1][:, None]
-            + log_trans
-            + (log_lik[t] + log_beta[t])[None, :]
-        )
-        m = a.max()
-        if not np.isfinite(m):
-            continue
-        w = np.exp(a - m)
-        counts += w / w.sum()
-    return counts
+    """Expected transition counts: the normalized xi_t(i, j) summed over
+    every real step t >= 1 of every sequence, an (N, N) array.
+
+    A step whose xi terms are all -inf (or nan) adds nothing.
+    """
+    a = (
+        log_alpha[:, :-1, :, None]
+        + log_trans
+        + (log_lik[:, 1:] + log_beta[:, 1:])[:, :, None, :]
+    )  # (S, T-1, N, N)
+    m = a.max(axis=(2, 3), keepdims=True)
+    keep = mask[:, 1:, None, None] & np.isfinite(m)
+    w = np.exp(a - np.where(keep, m, 0.0), where=keep, out=np.zeros_like(a))
+    return (w / np.where(keep, w.sum(axis=(2, 3), keepdims=True), 1.0)).sum(axis=(0, 1))
 
 
-@njit(cache=True)
-def xi_counts_nb(log_alpha, log_beta, log_lik, log_trans):  # pragma: no cover
-    T, N = log_lik.shape
-    counts = np.zeros((N, N))
-    w = np.empty((N, N))
-    for t in range(1, T):
-        m = -np.inf
-        for i in range(N):
-            for j in range(N):
-                v = log_alpha[t - 1, i] + log_trans[i, j] + log_lik[t, j] + log_beta[t, j]
-                w[i, j] = v
-                if v > m:
-                    m = v
-        if m == -np.inf or np.isnan(m):
-            continue
-        s = 0.0
-        for i in range(N):
-            for j in range(N):
-                w[i, j] = math.exp(w[i, j] - m)
-                s += w[i, j]
-        for i in range(N):
-            for j in range(N):
-                counts[i, j] += w[i, j] / s
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# unobserved forward recursion (transition structure only)
-# ---------------------------------------------------------------------------
-
-
-def unobserved_forward_np(pi: np.ndarray, trans: np.ndarray, horizon: int) -> np.ndarray:
-    N = pi.shape[0]
-    out = np.empty((horizon, N))
-    a = pi / pi.sum()
-    out[0] = a
-    for t in range(1, horizon):
-        a = a @ trans
-        a = a / a.sum()
-        out[t] = a
-    return out
-
-
-@njit(cache=True)
-def unobserved_forward_nb(pi, trans, horizon):  # pragma: no cover - jitted
-    N = pi.shape[0]
-    out = np.empty((horizon, N))
-    s = 0.0
-    for i in range(N):
-        s += pi[i]
-    for i in range(N):
-        out[0, i] = pi[i] / s
-    for t in range(1, horizon):
-        s = 0.0
-        for i in range(N):
-            v = 0.0
-            for j in range(N):
-                v += out[t - 1, j] * trans[j, i]
-            out[t, i] = v
-            s += v
-        for i in range(N):
-            out[t, i] /= s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# batched Gaussian log-density from a precomputed Cholesky factor
-# ---------------------------------------------------------------------------
-
-
-def chol_logpdf_np(x: np.ndarray, mean: np.ndarray, chol_lower: np.ndarray) -> np.ndarray:
+def chol_logpdf(x: np.ndarray, mean: np.ndarray, chol_lower: np.ndarray) -> np.ndarray:
     """log N(x; mean, L L^T) for each row of x, L lower-triangular."""
     d = mean.shape[0]
     diff = (x - mean).T
@@ -282,38 +116,3 @@ def chol_logpdf_np(x: np.ndarray, mean: np.ndarray, chol_lower: np.ndarray) -> n
         maha = (y * y).sum(axis=0)
     logdet = 2.0 * np.log(np.diag(chol_lower)).sum()
     return -0.5 * (maha + logdet + d * _LOG_2PI)
-
-
-@njit(cache=True)
-def chol_logpdf_nb(x, mean, chol_lower):  # pragma: no cover - jitted
-    n, d = x.shape
-    out = np.empty(n)
-    logdet = 0.0
-    for i in range(d):
-        logdet += math.log(chol_lower[i, i])
-    logdet *= 2.0
-    y = np.empty(d)
-    for r in range(n):
-        maha = 0.0
-        for i in range(d):
-            acc = x[r, i] - mean[i]
-            for j in range(i):
-                acc -= chol_lower[i, j] * y[j]
-            y[i] = acc / chol_lower[i, i]
-            maha += y[i] * y[i]
-        out[r] = -0.5 * (maha + logdet + d * _LOG_2PI)
-    return out
-
-
-if USE_NUMBA:
-    forward_log = forward_log_nb
-    backward_log = backward_log_nb
-    xi_counts = xi_counts_nb
-    unobserved_forward = unobserved_forward_nb
-    chol_logpdf = chol_logpdf_nb
-else:
-    forward_log = forward_log_np
-    backward_log = backward_log_np
-    xi_counts = xi_counts_np
-    unobserved_forward = unobserved_forward_np
-    chol_logpdf = chol_logpdf_np

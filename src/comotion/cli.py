@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth, train-hhi, train-hri, eval, rollout, ik-demo,
-inspect-hmm, bench. Exit codes: 0 success, 2 config error, 3 data error,
+inspect-hmm. Exit codes: 0 success, 2 config error, 3 data error,
 4 numerical failure.
 """
 
@@ -11,22 +11,17 @@ import argparse
 import json
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from comotion import _kernels
-from comotion.data import (
-    Dataset,
-    SynthSpec,
-    load_dataset,
-    save_dataset,
-    split,
-    synth_generate,
-)
+from comotion.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from comotion.errors import ConfigError, DataError, NumericalError
-from comotion.evaluate import run_experiment
+from comotion.evaluate import (
+    _load_experiment_dataset,
+    _state_sets_from_config,
+    run_experiment,
+)
 from comotion.hmm import forward_unobserved
 from comotion.infer import rollout
 from comotion.kin import default_arm_chain, fk, ik_baseline, ik_with_prior, load_chain
@@ -59,23 +54,8 @@ def _load_config(args) -> dict:
 
 def _dataset_from_config(config: dict, path_arg: str | None) -> Dataset:
     if path_arg:
-        ds = load_dataset(path_arg)
-    else:
-        src = config.get("dataset")
-        if src is None:
-            raise ConfigError("no dataset given (use --data or config 'dataset')")
-        if isinstance(src, str):
-            ds = load_dataset(src)
-        else:
-            ds = synth_generate(
-                SynthSpec.from_dict(src["synth"]),
-                np.random.default_rng(int(src.get("seed", 0))),
-            )
-    return split(
-        ds,
-        float(config.get("split_fraction", 0.8)),
-        int(config.get("split_seed", 0)),
-    )
+        config = {**config, "dataset": path_arg}
+    return _load_experiment_dataset(config)
 
 
 def _train_config(config: dict, args) -> TrainConfig:
@@ -117,12 +97,8 @@ def cmd_train_hri(args) -> int:
     cfg = _train_config(config, args)
     hhi = load_bundle(args.hhi)
     bundle = train_hri(ds, hhi, cfg, args.seed)
-    state_sets = None
-    if config.get("contact_states"):
-        state_sets = {
-            label: (config["contact_states"][label], config.get("reach_states", {}).get(label, []))
-            for label in config["contact_states"]
-        }
+    state_sets = _state_sets_from_config(config)
+    if state_sets:
         bundle = fit_transition_states(bundle, ds, state_sets)
     out = Path(args.out or "hri_out")
     save_bundle(bundle, out / "model.json")
@@ -256,49 +232,6 @@ def _print_state_timing(bundle, ds: Dataset, label: str) -> None:
             print(f"  state {i}: never the most likely state")
 
 
-def cmd_bench(args) -> int:
-    """Compare the jitted kernels against the numpy fallbacks."""
-    rng = np.random.default_rng(0)
-    T, N, D = args.timesteps, args.states, args.dim
-    log_lik = rng.standard_normal((T, N))
-    log_pi = np.log(np.full(N, 1.0 / N))
-    trans = rng.dirichlet(np.ones(N), size=N)
-    log_trans = np.log(trans)
-    pi = np.full(N, 1.0 / N)
-    x = rng.standard_normal((T, D))
-    mean = rng.standard_normal(D)
-    a = rng.standard_normal((D, D))
-    chol = np.linalg.cholesky(a @ a.T + np.eye(D))
-    la, lb = _kernels.forward_log_np(log_lik, log_pi, log_trans)
-    log_alpha = np.log(np.maximum(la, 1e-300))
-    log_beta = _kernels.backward_log_np(log_lik, log_trans)
-    cases = [
-        ("forward_log", (log_lik, log_pi, log_trans)),
-        ("backward_log", (log_lik, log_trans)),
-        ("xi_counts", (log_alpha, log_beta, log_lik, log_trans)),
-        ("unobserved_forward", (pi, trans, T)),
-        ("chol_logpdf", (x, mean, chol)),
-    ]
-    print(f"T={T} N={N} D={D}, numba {'ON' if _kernels.USE_NUMBA else 'OFF'}")
-    print(f"{'kernel':<20}{'numpy (us)':>12}{'numba (us)':>12}{'speedup':>9}")
-    for name, call_args in cases:
-        f_np = getattr(_kernels, name + "_np")
-        f_nb = getattr(_kernels, name + "_nb")
-        t_np = _time_it(f_np, call_args, args.repeats)
-        f_nb(*call_args)  # trigger compilation outside the timed loop
-        t_nb = _time_it(f_nb, call_args, args.repeats)
-        print(f"{name:<20}{t_np * 1e6:>12.1f}{t_nb * 1e6:>12.1f}{t_np / t_nb:>9.2f}")
-    return 0
-
-
-def _time_it(fn, call_args, repeats: int) -> float:
-    fn(*call_args)
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        fn(*call_args)
-    return (time.perf_counter() - t0) / repeats
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="comotion", description=__doc__)
     p.add_argument("--config", help="JSON config file")
@@ -339,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data")
     sp.add_argument("--horizon", type=int, default=100)
 
-    sp = sub.add_parser("bench", help="benchmark numba kernels vs numpy fallbacks")
-    sp.add_argument("--timesteps", type=int, default=200)
-    sp.add_argument("--states", type=int, default=6)
-    sp.add_argument("--dim", type=int, default=10)
-    sp.add_argument("--repeats", type=int, default=200)
     return p
 
 
@@ -355,7 +283,6 @@ COMMANDS = {
     "rollout": cmd_rollout,
     "ik-demo": cmd_ik_demo,
     "inspect-hmm": cmd_inspect_hmm,
-    "bench": cmd_bench,
 }
 
 

@@ -2,10 +2,16 @@
 
 States emit Gaussians over the stacked latent (first block: observed agent
 h, second block: generated agent r). Provides Baum-Welch fitting, the
-observed and observation-free forward recursions, mixture conditioning of
-the r block on the h block (optionally accounting for the encoder's
-posterior covariance), and the contact-segment gate used for stiffness
-switching.
+observed forward recursion (a whole sequence or one online step), the
+observation-free one, mixture conditioning of the r block on the h block
+(optionally accounting for the encoder's posterior covariance), and the
+contact-segment gate used for stiffness switching.
+
+Every recursion calls the log-space kernels of ``comotion._kernels``: the
+online step is the kernel's one-step prediction followed by a forward pass
+of length one, the observation-free recursion is a forward pass over zero
+log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
+padded to the longest.
 """
 
 from __future__ import annotations
@@ -146,13 +152,23 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
 def forward(hmm: Hmm, obs: np.ndarray, block: str = "full") -> AlphaSequence:
     """Normalized forward variable of an observed latent sequence."""
     log_lik = state_log_liks(hmm, obs, block)
-    alpha, log_norm = _kernels.forward_log(
-        log_lik, _safe_log(hmm.pi), _safe_log(hmm.trans)
+    log_alpha, log_norm = _kernels.forward_log(
+        log_lik[None], _safe_log(hmm.pi), _safe_log(hmm.trans)
     )
-    if not np.all(np.isfinite(log_norm)):
-        t = int(np.argmin(np.isfinite(log_norm)))
+    _raise_on_collapse(log_norm)
+    return AlphaSequence(np.exp(log_alpha[0]), log_norm[0])
+
+
+def _raise_on_collapse(log_norm: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """NumericalError naming the first collapsed step of the first sequence
+    that has one; ``mask`` leaves padding steps out."""
+    collapsed = ~np.isfinite(log_norm)
+    if mask is not None:
+        collapsed &= mask
+    if collapsed.any():
+        s = int(np.argmax(collapsed.any(axis=1)))
+        t = int(np.argmax(collapsed[s]))
         raise NumericalError(f"forward recursion collapsed at timestep {t}")
-    return AlphaSequence(alpha, log_norm)
 
 
 def forward_step(
@@ -166,21 +182,16 @@ def forward_step(
     Carries the normalized log state distribution; pass None to start.
     Returns (alpha_t, log_alpha_t).
     """
-    log_lik = state_log_liks(hmm, np.asarray(z)[None, :], block)[0]
+    log_lik = state_log_liks(hmm, np.asarray(z)[None, :], block)
+    log_trans = _safe_log(hmm.trans)
     if log_alpha_prev is None:
-        la = _safe_log(hmm.pi) + log_lik
+        log_prior = _safe_log(hmm.pi)
     else:
-        prev = log_alpha_prev[:, None] + _safe_log(hmm.trans)
-        m = prev.max(axis=0)
-        acc = np.full(hmm.n_states, -np.inf)
-        ok = np.isfinite(m)  # states unreachable from the current support
-        if ok.any():
-            acc[ok] = m[ok] + np.log(np.exp(prev[:, ok] - m[ok]).sum(axis=0))
-        la = log_lik + acc
-    top = la.max()
-    if not np.isfinite(top):
+        log_prior = _kernels.predict_log(log_alpha_prev, log_trans)
+    log_alpha, log_norm = _kernels.forward_log(log_lik[None], log_prior, log_trans)
+    if not np.isfinite(log_norm[0, 0]):
         raise NumericalError("forward step collapsed (all-zero likelihood row)")
-    la = la - (top + np.log(np.exp(la - top).sum()))
+    la = log_alpha[0, 0]
     return np.exp(la), la
 
 
@@ -188,8 +199,10 @@ def forward_unobserved(hmm: Hmm, horizon: int) -> AlphaSequence:
     """Forward recursion with the likelihood term set to one."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    values = _kernels.unobserved_forward(hmm.pi, hmm.trans, int(horizon))
-    return AlphaSequence(values, None)
+    log_alpha, _ = _kernels.forward_log(
+        np.zeros((1, int(horizon), hmm.n_states)), _safe_log(hmm.pi), _safe_log(hmm.trans)
+    )
+    return AlphaSequence(np.exp(log_alpha[0]), None)
 
 
 def most_likely(alpha_t: np.ndarray) -> int:
@@ -260,32 +273,25 @@ def em_fit(
     hmm = Hmm(init.pi.copy(), init.trans.copy(), init.means.copy(), init.covs.copy(), init.d_z)
     N, D = hmm.n_states, hmm.dim
     stacked = np.concatenate(sequences, axis=0)
-    bounds = np.cumsum([0] + [s.shape[0] for s in sequences])
+    lengths = np.array([s.shape[0] for s in sequences])
+    mask = np.arange(lengths.max()) < lengths[:, None]  # (S, T) real steps
+    # sequences padded to the longest; padding steps have zero log-likelihood
+    log_lik = np.zeros(mask.shape + (N,))
     trace = []
     prev_ll = -np.inf
     for it in range(max_iters):
-        log_pi = _safe_log(hmm.pi)
         log_trans = _safe_log(hmm.trans)
-        pi_acc = np.zeros(N)
-        xi_acc = np.zeros((N, N))
-        total_ll = 0.0
-        all_log_lik = state_log_liks(hmm, stacked)
-        gammas = np.empty_like(all_log_lik)
-        for s in range(len(sequences)):
-            lo, hi = bounds[s], bounds[s + 1]
-            log_lik = all_log_lik[lo:hi]
-            alpha, log_norm = _kernels.forward_log(log_lik, log_pi, log_trans)
-            if not np.all(np.isfinite(log_norm)):
-                t = int(np.argmin(np.isfinite(log_norm)))
-                raise NumericalError(f"forward recursion collapsed at timestep {t}")
-            total_ll += float(log_norm.sum())
-            log_beta = _kernels.backward_log(log_lik, log_trans)
-            gamma = alpha * np.exp(log_beta)
-            gamma /= gamma.sum(axis=1, keepdims=True)
-            log_alpha = _safe_log(np.maximum(alpha, 1e-300))
-            xi_acc += _kernels.xi_counts(log_alpha, log_beta, log_lik, log_trans)
-            pi_acc += gamma[0]
-            gammas[lo:hi] = gamma
+        log_lik[mask] = state_log_liks(hmm, stacked)
+        log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), log_trans)
+        _raise_on_collapse(log_norm, mask)
+        total_ll = float(log_norm[mask].sum())
+        log_beta = _kernels.backward_log(log_lik, log_trans, mask)
+        log_gamma = log_alpha + log_beta
+        gamma = np.exp(log_gamma - log_gamma.max(axis=2, keepdims=True))
+        gamma /= gamma.sum(axis=2, keepdims=True)
+        pi_acc = gamma[:, 0].sum(axis=0)
+        xi_acc = _kernels.xi_counts(log_alpha, log_beta, log_lik, log_trans, mask)
+        gammas = gamma[mask]
         mass = gammas.sum(axis=0)
         mean_acc = gammas.T @ stacked
         second_acc = np.empty((N, D, D))

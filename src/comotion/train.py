@@ -427,8 +427,6 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     interactions = {}
     for label, (hmm_c, tsm) in sorted(bundle.hmms.items()):
         entry = hmm_c.to_dict()
-        entry["contact_states"] = sorted(tsm.contact_states) if tsm else []
-        entry["reach_states"] = sorted(tsm.reach_states) if tsm else []
         entry["transition_model"] = tsm.to_dict() if tsm else None
         interactions[label] = entry
     doc = {

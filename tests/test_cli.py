@@ -110,7 +110,10 @@ def test_ik_demo_runs(capsys):
     assert "baseline IK" in out and "prior IK" in out
 
 
-def test_bench_runs(capsys):
-    assert main(["bench", "--repeats", "3", "--timesteps", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "forward_log" in out and "speedup" in out
+def test_unrecognized_dataset_entry_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"bogus": 1}}))
+    for command in ("train-hhi", "eval"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / command), command]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized dataset entry" in err and "Traceback" not in err

@@ -1,54 +1,318 @@
-"""Agreement between the jitted kernels and their numpy fallbacks."""
+"""The batched log-space kernels against per-sequence reference loops.
+
+The reference loops below run one sequence at a time, step by step, in log
+space, and are kept here as the oracle for the batched recursions of
+``_kernels``; the Gaussian log-density is checked against scipy and a
+row-by-row forward substitution.
+"""
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
+from comotion.hmm import Hmm, em_fit, forward, forward_unobserved, state_log_liks
+
+TOL = 1e-10
 
 
-@pytest.fixture
-def hmm_inputs():
+# ---------------------------------------------------------------------------
+# per-sequence log-space reference
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp_rows(a):
+    m = a.max(axis=0)
+    out = np.full(a.shape[1], -np.inf)
+    ok = np.isfinite(m)  # unreachable states stay at -inf, not nan
+    if ok.any():
+        out[ok] = m[ok] + np.log(np.exp(a[:, ok] - m[ok]).sum(axis=0))
+    return out
+
+
+def forward_log_np(log_lik, log_pi, log_trans):
+    """(log alpha (T, N), log normalizers (T,)) of one sequence; a collapsed
+    step and every later one get a -inf normalizer and nan rows."""
+    T, N = log_lik.shape
+    log_alpha = np.empty((T, N))
+    log_norm = np.empty(T)
+    la = log_pi + log_lik[0]
+    for t in range(T):
+        if t > 0:
+            la = log_lik[t] + _logsumexp_rows(la[:, None] + log_trans)
+        m = la.max()
+        if not np.isfinite(m):
+            log_norm[t:] = -np.inf
+            log_alpha[t:] = np.nan
+            return log_alpha, log_norm
+        ln = m + np.log(np.exp(la - m).sum())
+        log_norm[t] = ln
+        la = la - ln
+        log_alpha[t] = la
+    return log_alpha, log_norm
+
+
+def backward_log_np(log_lik, log_trans):
+    T, N = log_lik.shape
+    log_beta = np.zeros((T, N))
+    for t in range(T - 2, -1, -1):
+        a = log_trans + (log_lik[t + 1] + log_beta[t + 1])[None, :]
+        m = a.max(axis=1)
+        log_beta[t] = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+        log_beta[t] -= log_beta[t].max()
+    return log_beta
+
+
+def xi_counts_np(log_alpha, log_beta, log_lik, log_trans):
+    T, N = log_lik.shape
+    counts = np.zeros((N, N))
+    for t in range(1, T):
+        a = log_alpha[t - 1][:, None] + log_trans + (log_lik[t] + log_beta[t])[None, :]
+        m = a.max()
+        if not np.isfinite(m):
+            continue
+        w = np.exp(a - m)
+        counts += w / w.sum()
+    return counts
+
+
+def unobserved_forward_np(pi, trans, horizon):
+    out = np.empty((horizon, pi.shape[0]))
+    a = pi / pi.sum()
+    out[0] = a
+    for t in range(1, horizon):
+        a = a @ trans
+        a = a / a.sum()
+        out[t] = a
+    return out
+
+
+def chol_logpdf_rows(x, mean, chol_lower):
+    """log N(x; mean, L L^T) row by row, by forward substitution."""
+    n, d = x.shape
+    out = np.empty(n)
+    logdet = 2.0 * sum(np.log(chol_lower[i, i]) for i in range(d))
+    for r in range(n):
+        y = np.empty(d)
+        for i in range(d):
+            y[i] = (x[r, i] - mean[i] - chol_lower[i, :i] @ y[:i]) / chol_lower[i, i]
+        out[r] = -0.5 * (y @ y + logdet + d * np.log(2.0 * np.pi))
+    return out
+
+
+def oracle_e_step(log_liks, log_pi, log_trans):
+    """Per-sequence E-step: (gammas, xi counts, log-likelihood)."""
+    gammas, xi, ll = [], np.zeros_like(log_trans), 0.0
+    for log_lik in log_liks:
+        log_alpha, log_norm = forward_log_np(log_lik, log_pi, log_trans)
+        log_beta = backward_log_np(log_lik, log_trans)
+        gamma = np.exp(log_alpha + log_beta)
+        gammas.append(gamma / gamma.sum(axis=1, keepdims=True))
+        xi += xi_counts_np(log_alpha, log_beta, log_lik, log_trans)
+        ll += log_norm.sum()
+    return gammas, xi, ll
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+
+def _log(x):
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _pad(log_liks):
+    """Zero-padded (S, T, N) stack and its (S, T) mask of real steps."""
+    lengths = np.array([ll.shape[0] for ll in log_liks])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(mask.shape + (log_liks[0].shape[1],))
+    padded[mask] = np.concatenate(log_liks)
+    return padded, mask
+
+
+def _random_model(rng, N):
+    return _log(rng.dirichlet(np.ones(N))), _log(rng.dirichlet(np.ones(N), size=N))
+
+
+def _unreachable_model():
+    """Left-to-right: state 0 starts, state 3 is never entered."""
+    pi = np.array([1.0, 0.0, 0.0, 0.0])
+    trans = np.array(
+        [
+            [0.6, 0.4, 0.0, 0.0],
+            [0.0, 0.7, 0.3, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+        ]
+    )
+    return _log(pi), _log(trans)
+
+
+def _ragged(rng, N, lengths=(40, 7, 23, 2, 40)):
+    return [rng.standard_normal((T, N)) * 3.0 for T in lengths]
+
+
+def _ragged_case(rng):
+    return (_ragged(rng, 5), *_random_model(rng, 5))
+
+
+def _unreachable_case(rng):
+    return (_ragged(rng, 4, (30, 12, 5)), *_unreachable_model())
+
+
+def cases():
+    """(log_liks, log_pi, log_trans): ragged lengths, then unreachable states."""
+    return [make(np.random.default_rng(0)) for make in (_ragged_case, _unreachable_case)]
+
+
+def _batched_e_step(padded, mask, log_pi, log_trans):
+    log_alpha, log_norm = K.forward_log(padded, log_pi, log_trans)
+    log_beta = K.backward_log(padded, log_trans, mask)
+    xi = K.xi_counts(log_alpha, log_beta, padded, log_trans, mask)
+    return log_alpha, log_norm, log_beta, xi
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the reference
+# ---------------------------------------------------------------------------
+
+
+def test_forward_paths_agree():
+    for log_liks, log_pi, log_trans in cases():
+        padded, mask = _pad(log_liks)
+        log_alpha, log_norm = K.forward_log(padded, log_pi, log_trans)
+        for s, log_lik in enumerate(log_liks):
+            T = log_lik.shape[0]
+            ref_alpha, ref_norm = forward_log_np(log_lik, log_pi, log_trans)
+            np.testing.assert_allclose(
+                np.exp(log_alpha[s, :T]), np.exp(ref_alpha), rtol=0, atol=TOL
+            )
+            np.testing.assert_array_equal(np.isfinite(log_alpha[s, :T]), np.isfinite(ref_alpha))
+            np.testing.assert_allclose(log_norm[s, :T], ref_norm, rtol=0, atol=TOL)
+
+
+def test_backward_paths_agree():
+    for log_liks, _, log_trans in cases():
+        padded, mask = _pad(log_liks)
+        log_beta = K.backward_log(padded, log_trans, mask)
+        for s, log_lik in enumerate(log_liks):
+            T = log_lik.shape[0]
+            np.testing.assert_allclose(
+                log_beta[s, :T], backward_log_np(log_lik, log_trans), rtol=0, atol=TOL
+            )
+        np.testing.assert_array_equal(log_beta[~mask], 0.0)
+
+
+def test_xi_counts_paths_agree():
+    for log_liks, log_pi, log_trans in cases():
+        _, ref_xi, _ = oracle_e_step(log_liks, log_pi, log_trans)
+        xi = _batched_e_step(*_pad(log_liks), log_pi, log_trans)[3]
+        np.testing.assert_allclose(xi, ref_xi, rtol=0, atol=TOL)
+        # each real step after the first carries one unit of transition mass
+        assert xi.sum() == pytest.approx(sum(ll.shape[0] - 1 for ll in log_liks), abs=1e-9)
+
+
+def test_gamma_and_loglik_agree_and_padding_does_not_leak():
+    for log_liks, log_pi, log_trans in cases():
+        ref_gammas, _, ref_ll = oracle_e_step(log_liks, log_pi, log_trans)
+        padded, mask = _pad(log_liks)
+        log_alpha, log_norm, log_beta, _ = _batched_e_step(padded, mask, log_pi, log_trans)
+        assert log_norm[mask].sum() == pytest.approx(ref_ll, rel=0, abs=TOL)
+        gamma = np.exp(log_alpha + log_beta)
+        gamma /= gamma.sum(axis=2, keepdims=True)
+        for s, ref in enumerate(ref_gammas):
+            np.testing.assert_allclose(gamma[s, : ref.shape[0]], ref, rtol=0, atol=TOL)
+
+
+def test_unobserved_forward_paths_agree():
     rng = np.random.default_rng(0)
-    T, N = 40, 5
-    log_lik = rng.standard_normal((T, N)) * 3.0
-    pi = rng.dirichlet(np.ones(N))
-    trans = rng.dirichlet(np.ones(N), size=N)
-    return log_lik, np.log(pi), np.log(trans), pi, trans
+    pi, trans = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5), size=5)
+    hmm = Hmm(pi, trans, np.zeros((5, 2)), np.stack([np.eye(2)] * 5), 1)
+    np.testing.assert_allclose(
+        forward_unobserved(hmm, 25).values, unobserved_forward_np(pi, trans, 25), atol=1e-14
+    )
 
 
-def test_forward_paths_agree(hmm_inputs):
-    log_lik, log_pi, log_trans, _, _ = hmm_inputs
-    a_np, n_np = K.forward_log_np(log_lik, log_pi, log_trans)
-    a_nb, n_nb = K.forward_log_nb(log_lik, log_pi, log_trans)
-    np.testing.assert_allclose(a_np, a_nb, atol=1e-12)
-    np.testing.assert_allclose(n_np, n_nb, atol=1e-10)
+def test_unreachable_state_gets_no_mass():
+    log_liks, log_pi, log_trans = _unreachable_case(np.random.default_rng(1))
+    log_alpha, _, _, xi = _batched_e_step(*_pad(log_liks), log_pi, log_trans)
+    assert np.all(log_alpha[..., 3] == -np.inf)
+    np.testing.assert_array_equal(xi[3], 0.0)
+    np.testing.assert_array_equal(xi[:, 3], 0.0)
+    assert not np.any(np.isnan(log_alpha))
 
 
-def test_backward_paths_agree(hmm_inputs):
-    log_lik, _, log_trans, _, _ = hmm_inputs
-    b_np = K.backward_log_np(log_lik, log_trans)
-    b_nb = K.backward_log_nb(log_lik, log_trans)
-    np.testing.assert_allclose(b_np, b_nb, atol=1e-10)
+def test_padding_content_does_not_change_results():
+    for log_liks, log_pi, log_trans in cases():
+        padded, mask = _pad(log_liks)
+        noisy = padded.copy()
+        noisy[~mask] = 10.0 * np.random.default_rng(2).standard_normal(noisy[~mask].shape)
+        zero = _batched_e_step(padded, mask, log_pi, log_trans)
+        other = _batched_e_step(noisy, mask, log_pi, log_trans)
+        for a, b in zip(zero[:3], other[:3]):
+            np.testing.assert_array_equal(a[mask], b[mask])
+        np.testing.assert_array_equal(zero[3], other[3])
 
 
-def test_xi_counts_paths_agree(hmm_inputs):
-    log_lik, log_pi, log_trans, _, _ = hmm_inputs
-    alpha, _ = K.forward_log_np(log_lik, log_pi, log_trans)
-    log_alpha = np.log(np.maximum(alpha, 1e-300))
-    log_beta = K.backward_log_np(log_lik, log_trans)
-    c_np = K.xi_counts_np(log_alpha, log_beta, log_lik, log_trans)
-    c_nb = K.xi_counts_nb(log_alpha, log_beta, log_lik, log_trans)
-    np.testing.assert_allclose(c_np, c_nb, atol=1e-10)
-    # each timestep contributes one unit of normalized mass
-    assert c_np.sum() == pytest.approx(log_lik.shape[0] - 1, abs=1e-9)
+def test_forward_marks_a_collapse_in_its_own_sequence_only():
+    rng = np.random.default_rng(4)
+    log_liks = _ragged(rng, 3, (8, 6))
+    log_liks[1][3] = -np.inf  # no state explains step 3 of sequence 1
+    padded, mask = _pad(log_liks)
+    log_pi, log_trans = _random_model(rng, 3)
+    log_alpha, log_norm = K.forward_log(padded, log_pi, log_trans)
+    assert np.all(np.isfinite(log_norm[0]))
+    np.testing.assert_array_equal(np.isfinite(log_norm[1]), np.arange(8) < 3)
+    ref_alpha, ref_norm = forward_log_np(log_liks[1], log_pi, log_trans)
+    np.testing.assert_allclose(log_norm[1, :3], ref_norm[:3], rtol=0, atol=TOL)
 
 
-def test_unobserved_forward_paths_agree(hmm_inputs):
-    _, _, _, pi, trans = hmm_inputs
-    u_np = K.unobserved_forward_np(pi, trans, 25)
-    u_nb = K.unobserved_forward_nb(pi, trans, 25)
-    np.testing.assert_allclose(u_np, u_nb, atol=1e-14)
+def test_underflowed_state_is_revived():
+    # state 1's mass falls to ~e^-3600 after two far observations; a
+    # probability-space recursion would round it to 0 and lose it for good
+    hmm = Hmm(
+        np.array([1.0, 0.0]),
+        np.array([[0.9, 0.1], [0.0, 1.0]]),
+        np.array([[0.0, 0.0], [60.0, 60.0]]),
+        np.stack([np.eye(2)] * 2),
+        1,
+    )
+    obs = np.array([[60.0, 60.0], [60.0, 60.0], [0.0, 0.0]])
+    log_lik = state_log_liks(hmm, obs)
+    ref_alpha, ref_norm = forward_log_np(log_lik, _log(hmm.pi), _log(hmm.trans))
+    alpha = forward(hmm, obs)
+    np.testing.assert_allclose(alpha.values, np.exp(ref_alpha), rtol=0, atol=TOL)
+    np.testing.assert_allclose(alpha[2], [0.8901, 0.1099], atol=1e-4)
+    assert alpha.loglik == pytest.approx(ref_norm.sum(), rel=0, abs=TOL)
+    log_beta = K.backward_log(log_lik[None], _log(hmm.trans), np.ones((1, 3), bool))
+    np.testing.assert_allclose(
+        log_beta[0], backward_log_np(log_lik, _log(hmm.trans)), rtol=0, atol=TOL
+    )
+
+
+def test_em_fit_e_step_on_ragged_sequences_matches_reference():
+    rng = np.random.default_rng(3)
+    seqs = [rng.standard_normal((T, 2)) + np.linspace(-2, 2, T)[:, None] for T in (30, 9, 17)]
+    init = Hmm(
+        np.array([0.5, 0.3, 0.2]),
+        np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]),
+        np.array([[-1.5, -1.5], [0.0, 0.0], [1.5, 1.5]]),
+        np.stack([np.eye(2)] * 3),
+        1,
+    )
+    fitted, trace = em_fit(init, seqs, max_iters=1)
+    log_liks = [state_log_liks(init, s) for s in seqs]
+    gammas, xi, ll = oracle_e_step(log_liks, _log(init.pi), _log(init.trans))
+    assert trace[0] == pytest.approx(ll, rel=0, abs=TOL)
+    # the M-step of one iteration, from the reference E-step
+    np.testing.assert_allclose(fitted.trans, xi / xi.sum(axis=1, keepdims=True), atol=TOL)
+    pi = sum(g[0] for g in gammas)
+    np.testing.assert_allclose(fitted.pi, pi / pi.sum(), atol=TOL)
+    g = np.concatenate(gammas)
+    x = np.concatenate(seqs)
+    np.testing.assert_allclose(fitted.means, (g.T @ x) / g.sum(axis=0)[:, None], atol=TOL)
 
 
 def test_chol_logpdf_paths_agree_and_match_scipy():
@@ -59,14 +323,6 @@ def test_chol_logpdf_paths_agree_and_match_scipy():
     mean = rng.standard_normal(d)
     x = rng.standard_normal((30, d))
     chol = np.linalg.cholesky(cov)
-    v_np = K.chol_logpdf_np(x, mean, chol)
-    v_nb = K.chol_logpdf_nb(x, mean, chol)
-    np.testing.assert_allclose(v_np, v_nb, atol=1e-11)
-    ref = multivariate_normal(mean, cov).logpdf(x)
-    np.testing.assert_allclose(v_np, ref, atol=1e-10)
-
-
-def test_selected_kernels_match_flag():
-    expected = "nb" if K.USE_NUMBA else "np"
-    assert K.forward_log is getattr(K, f"forward_log_{expected}")
-    assert K.chol_logpdf is getattr(K, f"chol_logpdf_{expected}")
+    got = K.chol_logpdf(x, mean, chol)
+    np.testing.assert_allclose(got, chol_logpdf_rows(x, mean, chol), atol=1e-11)
+    np.testing.assert_allclose(got, multivariate_normal(mean, cov).logpdf(x), atol=1e-10)

@@ -305,6 +305,26 @@ def test_checkpoint_without_feature_stats_loads_unstandardized(tmp_path, hhi_bun
         np.testing.assert_array_equal(a, b)
 
 
+def test_checkpoint_keeps_state_sets_only_in_transition_model(tmp_path, hhi_bundle):
+    import dataclasses
+    import json
+
+    hmm_c, _ = hhi_bundle.hmms["greet"]
+    tsm = TransitionStateModel.for_hmm(hmm_c, [2], [0, 1])
+    bundle = dataclasses.replace(hhi_bundle, hmms={"greet": (hmm_c, tsm)})
+    path = tmp_path / "model.json"
+    save_bundle(bundle, path)
+    doc = json.loads(path.read_text())
+    entry = doc["interactions"]["greet"]
+    assert "contact_states" not in entry and "reach_states" not in entry
+    assert entry["transition_model"]["contact_states"] == [2]
+    # a checkpoint that still carries the old top-level copies loads alike
+    entry["contact_states"], entry["reach_states"] = [2], [0, 1]
+    path.write_text(json.dumps(doc))
+    _, loaded = load_bundle(path).hmms["greet"]
+    assert loaded.contact_states == {2} and loaded.reach_states == {0, 1}
+
+
 def test_write_trace_format(tmp_path, hhi_bundle):
     p = tmp_path / "trace.csv"
     write_trace(p, hhi_bundle.trace)
