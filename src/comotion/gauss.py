@@ -105,12 +105,6 @@ class BlockedGaussian:
     def s_rr(self) -> np.ndarray:
         return self.base.cov[self.d_z :, self.d_z :]
 
-    def marginal_h(self) -> Gaussian:
-        return Gaussian(self.mu_h.copy(), self.s_hh.copy())
-
-    def marginal_r(self) -> Gaussian:
-        return Gaussian(self.mu_r.copy(), self.s_rr.copy())
-
 
 @dataclass(frozen=True)
 class RegSchedule:
@@ -175,13 +169,6 @@ def log_pdf(g: Gaussian, x) -> float:
         raise ValueError(f"point dim {x.shape[0]} != Gaussian dim {g.dim}")
     chol = cholesky_or_raise(g.cov)
     return float(chol_logpdf(x[None, :], g.mean, chol)[0])
-
-
-def log_pdf_many(g: Gaussian, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``log_pdf`` over the rows of ``xs``."""
-    xs = np.asarray(xs, dtype=np.float64)
-    chol = cholesky_or_raise(g.cov)
-    return chol_logpdf(np.ascontiguousarray(xs), g.mean, chol)
 
 
 def kl_divergence(q: Gaussian, p: Gaussian) -> float:

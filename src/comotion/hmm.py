@@ -11,7 +11,10 @@ Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
 log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
-padded to the longest.
+padded to the longest. Emission densities factor all state covariances with
+one stacked Cholesky per call; the factors are not cached on the model,
+which ``em_fit`` updates in place. Mixture conditioning has one path, the
+batched ``conditional_moments``; ``gmr_condition`` runs it with a batch of one.
 """
 
 from __future__ import annotations
@@ -83,13 +86,6 @@ class Hmm:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def components(self) -> list[BlockedGaussian]:
-        return [
-            BlockedGaussian(Gaussian(self.means[i], self.covs[i]), self.d_z)
-            for i in range(self.n_states)
-        ]
-
     def component(self, i: int) -> BlockedGaussian:
         return BlockedGaussian(Gaussian(self.means[i], self.covs[i]), self.d_z)
 
@@ -123,9 +119,15 @@ class Hmm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hmm":
+        """Inverse of ``to_dict``; ValueError when the shapes disagree."""
         means = np.asarray([c["mean"] for c in d["components"]])
         covs = np.asarray([c["cov"] for c in d["components"]])
-        return cls(np.asarray(d["pi"]), np.asarray(d["trans"]), means, covs, int(d["d_z"]))
+        hmm = cls(np.asarray(d["pi"]), np.asarray(d["trans"]), means, covs, int(d["d_z"]))
+        shapes = (hmm.pi.shape, hmm.trans.shape, means.shape, covs.shape)
+        N, D = means.shape
+        if shapes != ((N,), (N, N), (N, D), (N, D, D)) or not 0 < hmm.d_z < D:
+            raise ValueError(f"shapes {shapes} of pi, trans, means, covs, d_z {hmm.d_z} disagree")
+        return hmm
 
 
 def state_log_liks(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray:
@@ -137,10 +139,10 @@ def state_log_liks(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray
             f"observations of width {obs.shape[-1]} do not match block "
             f"{block!r} of width {means.shape[1]}"
         )
+    chols = cholesky_or_raise(covs)  # one stacked factorization, (N, d, d)
     out = np.empty((obs.shape[0], hmm.n_states))
     for i in range(hmm.n_states):
-        chol = cholesky_or_raise(covs[i])
-        out[:, i] = _kernels.chol_logpdf(obs, means[i], chol)
+        out[:, i] = _kernels.chol_logpdf(obs, means[i], chols[i])
     return out
 
 
@@ -349,35 +351,23 @@ def gmr_condition(
 
     point:    treat ``posterior.mean`` as an exact observation.
     with_cov: add the posterior covariance to the h-block covariance in the
-              gain, i.e. condition on a noisy observation.
+              gain, i.e. condition on a noisy observation; the posterior
+              must be diagonal, as the encoder's are.
+    Returns ``conditional_moments`` for a batch of one, its covariance
+    repaired to positive definite.
     """
     if mode not in ("point", "with_cov"):
         raise ValueError(f"unknown conditioning mode {mode!r}")
     if posterior.dim != hmm.d_z:
         raise ValueError(f"posterior dim {posterior.dim} != h block {hmm.d_z}")
-    alpha_t = np.asarray(alpha_t, dtype=np.float64)
-    d_r = hmm.dim - hmm.d_z
-    mean_t = np.zeros(d_r)
-    second_t = np.zeros((d_r, d_r))
-    sigma_z = posterior.cov if mode == "with_cov" else None
-    for i in range(hmm.n_states):
-        if alpha_t[i] == 0.0:
-            continue
-        comp = hmm.component(i)
-        gain_base = comp.s_hh + sigma_z if sigma_z is not None else comp.s_hh
-        rhs = np.hstack([(posterior.mean - comp.mu_h)[:, None], comp.s_hr])
-        try:
-            sol = np.linalg.solve(gain_base, rhs)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"singular conditioning matrix in component {i}"
-            ) from None
-        mu_i = comp.mu_r + comp.s_rh @ sol[:, 0]
-        second_i = comp.s_rr - comp.s_rh @ sol[:, 1:] + np.outer(mu_i, mu_i)
-        mean_t += alpha_t[i] * mu_i
-        second_t += alpha_t[i] * second_i
-    cov_t = second_t - np.outer(mean_t, mean_t)
-    return Gaussian(mean_t, regularize_spd(cov_t, EIGEN))
+    post_var = None
+    if mode == "with_cov":
+        var = np.diag(posterior.cov)
+        if np.any(posterior.cov != np.diag(var)):
+            raise ValueError("with_cov conditioning needs a diagonal posterior covariance")
+        post_var = var[None]
+    means, covs = conditional_moments(hmm, posterior.mean[None], post_var, [alpha_t])
+    return Gaussian(means[0], regularize_spd(covs[0], EIGEN))
 
 
 def conditional_moments(
@@ -485,18 +475,19 @@ def contact_gate(
     tsm: TransitionStateModel,
     z_h: np.ndarray,
     prev: bool = False,
-) -> tuple[bool, bool]:
-    """(in_contact, stiffness_low); latches once fired.
+) -> bool:
+    """Whether the trajectory is in contact (and the stiffness low); latches
+    once fired.
 
     Fires when the contact states out-probabilize the reach states, or when
     the transition-state gate density at ``z_h`` beats every reach state's
     emission density.
     """
     if prev:
-        return True, True
+        return True
     if not tsm.contact_states:
         log.warning("contact gate disabled: no contact states configured")
-        return False, False
+        return False
     alpha_t = np.asarray(alpha_t, dtype=np.float64)
     contact_p = max(alpha_t[i] for i in tsm.contact_states)
     reach_p = max((alpha_t[i] for i in tsm.reach_states), default=0.0)
@@ -505,4 +496,4 @@ def contact_gate(
         gate_ll = log_pdf(tsm.gate, z_h)
         reach_ll = max(log_pdf(g, z_h) for g in tsm.reach_marginals)
         fired = gate_ll > reach_ll
-    return fired, fired
+    return bool(fired)

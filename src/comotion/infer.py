@@ -77,7 +77,7 @@ def reactive_step(
     q_raw = window[-n_r:]
     fired = False
     if tsm is not None:
-        fired, _ = contact_gate(alpha_t, tsm, mu[0], prev=state.gate)
+        fired = contact_gate(alpha_t, tsm, mu[0], prev=state.gate)
     ik_used = False
     if fired and hand_pos is not None and chain is not None:
         sol = ik_with_prior(chain, hand_pos, q_raw, 1.0, 0.01)

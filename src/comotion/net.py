@@ -84,11 +84,15 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mlp":
-        return cls(
-            [np.asarray(w, dtype=np.float64) for w in d["weights"]],
-            [np.asarray(b, dtype=np.float64) for b in d["biases"]],
-            float(d["negative_slope"]),
-        )
+        """Inverse of ``to_dict``; ValueError when the layers do not chain."""
+        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        width = weights[0].shape[-1]
+        for w, b in zip(weights, biases, strict=True):
+            if b.ndim != 1 or w.shape != (b.shape[0], width):
+                raise ValueError(f"layer of weight {w.shape} and bias {b.shape} does not chain")
+            width = w.shape[0]
+        return cls(weights, biases, float(d["negative_slope"]))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -441,26 +442,53 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         json.dump(doc, f, sort_keys=True)
 
 
+def _non_finite_path(node) -> list | None:
+    """Keys that lead to the first inf or nan in a parsed JSON document."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else []
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            path = _non_finite_path(value)
+            if path is not None:
+                return [key, *path]
+    return None
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
+    """Read a ``save_bundle`` checkpoint. A file that is not JSON, lacks a key,
+    holds an inf or nan or has disagreeing shapes is a ConfigError naming the field."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"missing model file: {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    human = Vae.from_dict(doc["human_vae"])
-    robot = human if doc.get("shared_vae") else Vae.from_dict(doc["robot_vae"])
-    hmms = {}
-    for label, entry in doc["interactions"].items():
-        hmm_c = Hmm.from_dict(entry)
-        tsm = (
-            TransitionStateModel.from_dict(entry["transition_model"])
-            if entry.get("transition_model")
-            else None
-        )
-        hmms[label] = (hmm_c, tsm)
-    return ModelBundle(
-        human, robot, hmms, TrainConfig.from_dict(doc["config"]), int(doc["seed"])
-    )
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"malformed model file {path}: {exc}") from None
+    bad = _non_finite_path(doc)
+    if bad is not None:
+        bad = ".".join(map(str, bad))
+        raise ConfigError(f"malformed model file {path}: field {bad} is not finite")
+    field = "config"
+    try:
+        config = TrainConfig.from_dict(doc["config"])
+        field = "human_vae"
+        human = Vae.from_dict(doc["human_vae"])
+        field = "robot_vae"
+        robot = human if doc.get("shared_vae") else Vae.from_dict(doc["robot_vae"])
+        field = "interactions"
+        hmms = {}
+        for label, entry in doc["interactions"].items():
+            field = f"interactions.{label}"
+            hmm_c = Hmm.from_dict(entry)
+            if (hmm_c.d_z, hmm_c.dim - hmm_c.d_z) != (human.d_z, robot.d_z):
+                raise ValueError(f"latent split {hmm_c.d_z}/{hmm_c.dim} differs from the VAEs'")
+            tsm = entry.get("transition_model")
+            hmms[label] = (hmm_c, TransitionStateModel.from_dict(tsm) if tsm else None)
+        field = "seed"
+        return ModelBundle(human, robot, hmms, config, int(doc["seed"]))
+    except (AttributeError, ConfigError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model file {path}: field {field}: {exc!r}") from None
 
 
 def write_trace(path: str | Path, trace: list[dict]) -> None:

@@ -144,9 +144,14 @@ class Vae:
             int(d["d_z"]),
             int(d["input_dim"]),
         )
+        widths = (v.encoder.in_dim, v.encoder.out_dim, v.decoder.in_dim, v.decoder.out_dim)
+        if widths != (v.input_dim, 2 * v.d_z, v.d_z, v.input_dim):
+            raise ValueError(f"layer widths {widths} disagree with input_dim and d_z")
         if "x_mean" in d:
             v.x_mean = np.asarray(d["x_mean"], dtype=np.float64)
             v.x_std = np.asarray(d["x_std"], dtype=np.float64)
+            if v.x_mean.shape != (v.input_dim,) or v.x_std.shape != (v.input_dim,):
+                raise ValueError("feature statistics do not have input_dim entries")
         return v
 
 

@@ -104,6 +104,14 @@ def test_config_error_without_dataset(tmp_path):
     assert main(["--config", str(cfg), "train-hhi"]) == 2
 
 
+def test_truncated_checkpoint_is_exit_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"seed": 0, "config": {"epochs": ')
+    assert main(["inspect-hmm", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and "Traceback" not in err
+
+
 def test_ik_demo_runs(capsys):
     assert main(["ik-demo", "--target", "0.2", "0.05", "-0.1"]) == 0
     out = capsys.readouterr().out

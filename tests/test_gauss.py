@@ -58,6 +58,13 @@ def test_log_pdf_rejects_non_spd():
         log_pdf(g, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_pdf_rejects_non_finite_point(bad):
+    g = Gaussian(np.zeros(3), np.eye(3))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        log_pdf(g, np.array([0.0, bad, 0.0]))
+
+
 def test_log_pdf_integrates_to_one_1d():
     g = Gaussian(np.array([0.3]), np.array([[0.7]]))
     sigma = math.sqrt(0.7)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from comotion.errors import NumericalError
-from comotion.gauss import Gaussian, condition_exact, log_pdf
+from comotion.gauss import EIGEN, Gaussian, condition_exact, log_pdf, regularize_spd
 from comotion.hmm import (
     AlphaSequence,
     Hmm,
@@ -19,6 +19,7 @@ from comotion.hmm import (
     gmr_condition,
     init_segments,
     most_likely,
+    state_log_liks,
 )
 
 
@@ -345,18 +346,95 @@ def test_gmr_output_cov_spd():
         np.linalg.cholesky(out.cov)
 
 
-def test_conditional_moments_matches_reference_loop():
-    rng = np.random.default_rng(19)
-    h = random_hmm(rng, 4, 3)
+def gmr_reference_loop(hmm, point, post_var, alpha):
+    """Raw mixture moments (mean, cov) of the r block given one h-block
+    point, one component at a time; post_var None conditions on the exact
+    point."""
+    d_z, d_r = hmm.d_z, hmm.dim - hmm.d_z
+    mean = np.zeros(d_r)
+    second = np.zeros((d_r, d_r))
+    for i in range(hmm.n_states):
+        if alpha[i] == 0.0:
+            continue
+        comp = hmm.component(i)
+        gain_base = comp.s_hh if post_var is None else comp.s_hh + np.diag(post_var)
+        rhs = np.hstack([(point - comp.mu_h)[:, None], comp.s_hr])
+        sol = np.linalg.solve(gain_base, rhs)
+        mu_i = comp.mu_r + comp.s_rh @ sol[:, 0]
+        mean += alpha[i] * mu_i
+        second += alpha[i] * (comp.s_rr - comp.s_rh @ sol[:, 1:] + np.outer(mu_i, mu_i))
+    return mean, second - np.outer(mean, mean)
+
+
+def _conditioning_case(seed):
+    rng = np.random.default_rng(seed)
+    h = random_hmm(rng, 4, 3, spread=2.0)
     B = 7
-    points = rng.standard_normal((B, 3))
+    points = 2.0 * rng.standard_normal((B, 3))
     var = rng.uniform(0.1, 1.5, (B, 3))
     alphas = rng.dirichlet(np.ones(4), size=B)
-    means, covs = conditional_moments(h, points, var, alphas)
-    for b in range(B):
-        ref = gmr_condition(h, Gaussian(points[b], np.diag(var[b])), alphas[b], "with_cov")
-        np.testing.assert_allclose(means[b], ref.mean, atol=1e-10)
-        np.testing.assert_allclose(covs[b], ref.cov, atol=1e-8)
+    alphas[1, 2] = 0.0  # zero weights, as the forward variable leaves them
+    alphas[1] /= alphas[1].sum()
+    alphas[2] = [0.0, 1.0, 0.0, 0.0]
+    return h, points, var, alphas
+
+
+def test_conditional_moments_matches_reference_loop():
+    h, points, var, alphas = _conditioning_case(19)
+    for post_var in (var, None):
+        means, covs = conditional_moments(h, points, post_var, alphas)
+        for b in range(points.shape[0]):
+            ref_mean, ref_cov = gmr_reference_loop(
+                h, points[b], None if post_var is None else post_var[b], alphas[b]
+            )
+            np.testing.assert_allclose(means[b], ref_mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(covs[b], ref_cov, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["point", "with_cov"])
+def test_gmr_condition_matches_reference_loop(mode):
+    h, points, var, alphas = _conditioning_case(24)
+    for b in range(points.shape[0]):
+        got = gmr_condition(h, Gaussian.diagonal(points[b], var[b]), alphas[b], mode)
+        ref_mean, ref_cov = gmr_reference_loop(
+            h, points[b], var[b] if mode == "with_cov" else None, alphas[b]
+        )
+        np.testing.assert_allclose(got.mean, ref_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.cov, regularize_spd(ref_cov, EIGEN), rtol=0, atol=1e-10)
+
+
+def test_gmr_with_cov_rejects_a_full_posterior_covariance():
+    rng = np.random.default_rng(25)
+    h = random_hmm(rng, 3, 2)
+    post = Gaussian(np.zeros(2), np.array([[1.0, 0.2], [0.2, 1.0]]))
+    alpha = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="diagonal"):
+        gmr_condition(h, post, alpha, "with_cov")
+    gmr_condition(h, post, alpha, "point")  # point mode reads only the mean
+
+
+# ---------------------------------------------------------------------------
+# non-finite observations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["state_log_liks", "forward", "forward_step", "em_fit"])
+def test_non_finite_observation_is_a_value_error(entry, bad):
+    rng = np.random.default_rng(26)
+    h = random_hmm(rng, 3, 2)
+    obs = rng.standard_normal((12, 4))
+    obs[8, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        if entry == "state_log_liks":
+            state_log_liks(h, obs)
+        elif entry == "forward":
+            forward(h, obs)
+        elif entry == "forward_step":
+            _, la = forward_step(h, obs[0], None)
+            forward_step(h, obs[8], la)
+        else:
+            em_fit(h, [obs[:6], obs[6:]], max_iters=3)
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +454,32 @@ def gate_setup():
 def test_gate_stays_off_in_reach(gate_setup):
     _, tsm = gate_setup
     alpha = np.array([0.9, 0.1, 0.0, 0.0])
-    fired, stiff = contact_gate(alpha, tsm, np.array([-5.0, -5.0]), prev=False)
-    assert (fired, stiff) == (False, False)
+    assert contact_gate(alpha, tsm, np.array([-5.0, -5.0]), prev=False) is False
 
 
 def test_gate_fires_on_contact_alpha(gate_setup):
     _, tsm = gate_setup
     alpha = np.array([0.0, 0.0, 1.0, 0.0])
-    assert contact_gate(alpha, tsm, np.zeros(2), prev=False) == (True, True)
+    assert contact_gate(alpha, tsm, np.zeros(2), prev=False) is True
 
 
 def test_gate_fires_on_transition_density(gate_setup):
     _, tsm = gate_setup
     alpha = np.array([0.9, 0.1, 0.0, 0.0])
-    fired, _ = contact_gate(alpha, tsm, np.array([3.0, 3.0]), prev=False)
-    assert fired
+    assert contact_gate(alpha, tsm, np.array([3.0, 3.0]), prev=False) is True
 
 
 def test_gate_latches(gate_setup):
     _, tsm = gate_setup
     reach_alpha = np.array([1.0, 0.0, 0.0, 0.0])
-    assert contact_gate(reach_alpha, tsm, np.array([-5.0, -5.0]), prev=True) == (True, True)
+    assert contact_gate(reach_alpha, tsm, np.array([-5.0, -5.0]), prev=True) is True
 
 
 def test_gate_empty_contact_states_never_fires():
     rng = np.random.default_rng(21)
     h = random_hmm(rng, 3, 2)
     tsm = TransitionStateModel.for_hmm(h, set(), {0, 1, 2})
-    assert contact_gate(np.array([0, 0, 1.0]), tsm, np.zeros(2), prev=False) == (False, False)
+    assert contact_gate(np.array([0, 0, 1.0]), tsm, np.zeros(2), prev=False) is False
 
 
 def test_gate_monotone_over_trajectory(gate_setup):
@@ -413,7 +489,7 @@ def test_gate_monotone_over_trajectory(gate_setup):
     seen_true = False
     for _ in range(50):
         alpha = rng.dirichlet(np.ones(4))
-        fired, _ = contact_gate(alpha, tsm, rng.standard_normal(2), prev=prev)
+        fired = contact_gate(alpha, tsm, rng.standard_normal(2), prev=prev)
         if seen_true:
             assert fired
         seen_true = seen_true or fired

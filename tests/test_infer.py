@@ -166,6 +166,22 @@ def test_mode_consistency_v32_inference_uses_posterior_covariance(trained):
     np.testing.assert_allclose(out.latent_r.cov, cov[0], atol=1e-12)
 
 
+def test_rollout_commands_equal_batched_conditional_predictions(dataset, trained):
+    """The batch-1 reactive step and the batched whole-trajectory path
+    condition and decode the same way: with the gate off, each command is
+    the last frame of the batched prediction for its window."""
+    n_r = trained.robot_vae.input_dim // trained.config.window
+    for pair in dataset.subset("test"):
+        x_h, _ = pair_features(pair, trained.config.window)
+        pred, alpha = conditional_predictions(
+            trained.human_vae, trained.robot_vae, trained.hmms["greet"][0], x_h,
+            trained.config.variant,
+        )
+        result = rollout(trained, "greet", pair.h_frames)
+        np.testing.assert_allclose(result.alpha, alpha, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.q, pred[:, -n_r:], rtol=0, atol=1e-9)
+
+
 def test_conditional_predictions_shapes(dataset, trained):
     pair = dataset.pairs[0]
     x_h, x_r = pair_features(pair, 5)

@@ -3,11 +3,13 @@
 The reference loops below run one sequence at a time, step by step, in log
 space, and are kept here as the oracle for the batched recursions of
 ``_kernels``; the Gaussian log-density is checked against scipy and a
-row-by-row forward substitution.
+row-by-row forward substitution, and ``state_log_liks`` bit for bit
+against one Cholesky and one scipy triangular solve per state.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
@@ -97,6 +99,22 @@ def chol_logpdf_rows(x, mean, chol_lower):
         for i in range(d):
             y[i] = (x[r, i] - mean[i] - chol_lower[i, :i] @ y[:i]) / chol_lower[i, i]
         out[r] = -0.5 * (y @ y + logdet + d * np.log(2.0 * np.pi))
+    return out
+
+
+def state_log_liks_per_state(hmm, obs, block="full"):
+    """(T, N) emission log-likelihoods, one factorization and one scipy
+    triangular solve per state."""
+    means, covs = hmm.block_params(block)
+    d = means.shape[1]
+    out = np.empty((obs.shape[0], hmm.n_states))
+    for i in range(hmm.n_states):
+        chol = np.linalg.cholesky(covs[i])
+        y = solve_triangular(chol, (obs - means[i]).T, lower=True)
+        with np.errstate(over="ignore"):
+            maha = (y * y).sum(axis=0)
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        out[:, i] = -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
     return out
 
 
@@ -326,3 +344,38 @@ def test_chol_logpdf_paths_agree_and_match_scipy():
     got = K.chol_logpdf(x, mean, chol)
     np.testing.assert_allclose(got, chol_logpdf_rows(x, mean, chol), atol=1e-11)
     np.testing.assert_allclose(got, multivariate_normal(mean, cov).logpdf(x), atol=1e-10)
+
+
+@pytest.mark.parametrize("d_z", [1, 3])
+@pytest.mark.parametrize("block", ["full", "h", "r"])
+@pytest.mark.parametrize("rows", [1, 40])
+def test_state_log_liks_bit_identical_to_per_state_solves(d_z, block, rows):
+    # d_z = 1 makes the h and r factors 1x1, which are both C- and
+    # F-ordered, so scipy's solve_triangular takes its other branch there
+    rng = np.random.default_rng(5)
+    dim = 2 * d_z
+    a = rng.standard_normal((4, dim, dim))
+    hmm = Hmm(
+        rng.dirichlet(np.ones(4)),
+        rng.dirichlet(np.ones(4), size=4),
+        rng.standard_normal((4, dim)),
+        a @ a.transpose(0, 2, 1) / dim + 0.3 * np.eye(dim),
+        d_z,
+    )
+    width = dim if block == "full" else d_z
+    obs = 2.0 * rng.standard_normal((rows, width))
+    np.testing.assert_array_equal(
+        state_log_liks(hmm, obs, block), state_log_liks_per_state(hmm, obs, block)
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chol_logpdf_rejects_non_finite_points_and_factors(bad):
+    chol = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    x = np.zeros((3, 2))
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.chol_logpdf(x, np.zeros(2), chol)
+    chol[1, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol)

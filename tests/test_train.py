@@ -336,3 +336,41 @@ def test_write_trace_format(tmp_path, hhi_bundle):
 def test_missing_bundle_path_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="missing"):
         load_bundle(tmp_path / "none.json")
+
+
+def _corrupt(doc):
+    doc["interactions"]["greet"]["components"][2]["cov"][1][1] = float("nan")
+
+
+def _drop_human_vae(doc):
+    del doc["human_vae"]
+
+
+def _misshape_decoder(doc):
+    doc["robot_vae"]["decoder"]["weights"][-1].pop()
+
+
+@pytest.mark.parametrize(
+    "damage, field",
+    [
+        (None, "Expecting"),  # truncated mid-document
+        (_drop_human_vae, "field human_vae: KeyError"),
+        (_corrupt, "interactions.greet.components.2.cov.1.1 is not finite"),
+        (_misshape_decoder, "field robot_vae"),
+    ],
+)
+def test_malformed_checkpoint_is_config_error_naming_file_and_field(tmp_path, hhi_bundle, damage, field):
+    import json
+
+    path = tmp_path / "model.json"
+    save_bundle(hhi_bundle, path)
+    text = path.read_text()
+    if damage is None:
+        path.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        damage(doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="model.json") as err:
+        load_bundle(path)
+    assert field in str(err.value)
