@@ -11,10 +11,11 @@ Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
 log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
-padded to the longest. Emission densities factor all state covariances with
-one stacked Cholesky per call; the factors are not cached on the model,
-which ``em_fit`` updates in place. Mixture conditioning has one path, the
-batched ``conditional_moments``; ``gmr_condition`` runs it with a batch of one.
+padded to the longest, as ``occupancy`` runs its forward pass. Emission
+densities factor all state covariances with one stacked Cholesky per call;
+the factors are not cached on the model, which ``em_fit`` updates in place.
+Mixture conditioning has one path, the batched ``conditional_moments``;
+``gmr_condition`` runs it with a batch of one.
 """
 
 from __future__ import annotations
@@ -257,6 +258,38 @@ def init_segments(sequences: list[np.ndarray], n_states: int, d_z: int | None = 
     return Hmm(pi, trans, means, covs, d_z)
 
 
+def _pad(sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of all sequences stacked, (sum of lengths, D), and the (S, T)
+    mask of real steps of the sequences padded to the longest, T."""
+    stacked = np.concatenate(sequences, axis=0)
+    lengths = np.array([s.shape[0] for s in sequences])
+    return stacked, np.arange(lengths.max()) < lengths[:, None]
+
+
+def _padded_log_liks(hmm: Hmm, stacked: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(S, T, N) log emission likelihoods of the padded sequences that
+    ``_pad`` returned; padding steps have zero log-likelihood."""
+    log_lik = np.zeros(mask.shape + (hmm.n_states,))
+    log_lik[mask] = state_log_liks(hmm, stacked)
+    return log_lik
+
+
+def occupancy(hmm: Hmm, sequences: list[np.ndarray]) -> np.ndarray:
+    """(N,) state occupancy: each sequence's forward variable averaged over
+    its steps, then averaged over the sequences.
+
+    All sequences run through one padded forward pass; a collapsed step
+    raises NumericalError, as in ``forward``.
+    """
+    stacked, mask = _pad([np.ascontiguousarray(s, dtype=np.float64) for s in sequences])
+    log_alpha, log_norm = _kernels.forward_log(
+        _padded_log_liks(hmm, stacked, mask), _safe_log(hmm.pi), _safe_log(hmm.trans)
+    )
+    _raise_on_collapse(log_norm, mask)
+    per_seq = (np.exp(log_alpha) * mask[..., None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+    return per_seq.mean(axis=0)
+
+
 def em_fit(
     init: Hmm,
     sequences: list[np.ndarray],
@@ -267,26 +300,29 @@ def em_fit(
     """Baum-Welch on a private copy of ``init``.
 
     Returns the fitted model and the per-iteration log-likelihood trace
-    (evaluated under the parameters entering each iteration).
+    (evaluated under the parameters entering each iteration). Convergence is
+    tested right after each forward pass, so the iteration that converges
+    runs no backward pass and no M-step.
     """
     sequences = [np.ascontiguousarray(s, dtype=np.float64) for s in sequences]
     if not sequences or any(s.shape[0] < 2 for s in sequences):
         raise ValueError("need at least one sequence of length >= 2")
     hmm = Hmm(init.pi.copy(), init.trans.copy(), init.means.copy(), init.covs.copy(), init.d_z)
     N, D = hmm.n_states, hmm.dim
-    stacked = np.concatenate(sequences, axis=0)
-    lengths = np.array([s.shape[0] for s in sequences])
-    mask = np.arange(lengths.max()) < lengths[:, None]  # (S, T) real steps
-    # sequences padded to the longest; padding steps have zero log-likelihood
-    log_lik = np.zeros(mask.shape + (N,))
+    stacked, mask = _pad(sequences)
     trace = []
     prev_ll = -np.inf
     for it in range(max_iters):
         log_trans = _safe_log(hmm.trans)
-        log_lik[mask] = state_log_liks(hmm, stacked)
+        log_lik = _padded_log_liks(hmm, stacked, mask)
         log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), log_trans)
         _raise_on_collapse(log_norm, mask)
         total_ll = float(log_norm[mask].sum())
+        trace.append(total_ll)
+        if total_ll - prev_ll < tol * max(1.0, abs(prev_ll)) and it > 0:
+            break
+        prev_ll = total_ll
+
         log_beta = _kernels.backward_log(log_lik, log_trans, mask)
         log_gamma = log_alpha + log_beta
         gamma = np.exp(log_gamma - log_gamma.max(axis=2, keepdims=True))
@@ -299,10 +335,6 @@ def em_fit(
         second_acc = np.empty((N, D, D))
         for i in range(N):
             second_acc[i] = (stacked * gammas[:, i : i + 1]).T @ stacked
-        trace.append(total_ll)
-        if total_ll - prev_ll < tol * max(1.0, abs(prev_ll)) and it > 0:
-            break
-        prev_ll = total_ll
 
         hmm.pi = pi_acc / pi_acc.sum()
         row_sums = xi_acc.sum(axis=1, keepdims=True)

@@ -7,7 +7,9 @@ adaptation) on the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which
 comes out of the same forward pass as the end effector, batched over
 configurations. The prior-regularized variant trades task-space error
 against distance to a preferred joint configuration, and runs its restarts
-as one batch.
+as one batch: the starts are scored by one forward pass, and each round of
+the search advances every run on the full batch with masked writes, so no
+round gathers or scatters the runs still searching.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ def _frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     clamped, from one forward pass.
 
     Column i of a Jacobian is ``a_i x (p_ee - p_i)`` for the world axis
-    ``a_i`` and origin ``p_i`` of joint i, with the cross product written out.
+    ``a_i`` and origin ``p_i`` of joint i, with the cross product written out
+    row by row into the Jacobian.
     """
     frames = _joint_frames(chain, Q)
     last = frames[:, -1]
@@ -172,7 +175,10 @@ def _frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     d = points[:, -1:] - points[:, :-1]
     ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    jac = np.stack((ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx), axis=1)
+    jac = np.empty((Q.shape[0], 3, chain.n_joints))
+    jac[:, 0] = ay * dz - az * dy
+    jac[:, 1] = az * dx - ax * dz
+    jac[:, 2] = ax * dy - ay * dx
     return points, jac
 
 
@@ -278,9 +284,10 @@ def ik_with_prior(
     the objective within a run. The objective has distinct basins (elbow
     branches), so deterministic restarts are taken and the lowest objective
     wins, ties going to the earliest start. The warm start and the restarts
-    run as one batch (``_prior_search``); a warm start that is already
-    exact is returned with 0 iterations. ``residual`` reports the
-    task-space error of the result and ``iterations`` sums all runs.
+    are scored by one forward pass and run as one batch (``_prior_search``);
+    a warm start that is already exact is returned with 0 iterations.
+    ``residual`` reports the task-space error of the result and
+    ``iterations`` sums all runs.
     """
     if lambda_x < 0 or lambda_q < 0:
         raise ValueError("lambda weights must be non-negative")
@@ -292,14 +299,14 @@ def ik_with_prior(
     if not (np.all(np.isfinite(mu_q)) and np.all(np.isfinite(q0))):
         raise ValueError("joint prior and initial joints must be finite")
     q0 = chain.clamp(q0)
-    obj, rx, _ = _prior_score(chain, q0[None], x_target, mu_q, lambda_x, lambda_q)
-    if obj[0] == 0.0:
-        return IkSolution(q0, float(np.linalg.norm(rx[0])), 0, True)
     lo, hi = chain.limits
     restart_rng = np.random.default_rng(0)
-    starts = np.vstack([q0, restart_rng.uniform(lo, hi, size=(restarts, chain.n_joints))])
-    q, obj, rx, iters, converged = _prior_search(
-        chain, x_target, mu_q, lambda_x, lambda_q, starts, grad_tol, max_iters
+    q = np.vstack([q0, restart_rng.uniform(lo, hi, size=(restarts, chain.n_joints))])
+    obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+    if obj[0] == 0.0:
+        return IkSolution(q0, float(np.linalg.norm(rx[0])), 0, True)
+    iters, converged = _prior_search(
+        chain, x_target, mu_q, lambda_x, lambda_q, q, obj, rx, jac, grad_tol, max_iters
     )
     best = int(np.argmin(obj))
     return IkSolution(
@@ -319,72 +326,74 @@ def _prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
 STALL_REL = 1e-7  # a prior-IK run stops once a step gains no more than this share
 
 
-def _prior_search(chain, x_target, mu_q, lambda_x, lambda_q, starts, grad_tol, max_iters):
+def _prior_search(
+    chain, x_target, mu_q, lambda_x, lambda_q, q, obj, rx, jac, grad_tol, max_iters
+):
     """Damped Gauss-Newton descents of the prior-IK objective, one from each
-    row of ``starts`` (S, n), run in lockstep.
+    row of ``q`` (S, n), run in lockstep.
 
-    Each round scores one candidate for every run still searching, with one
-    batched forward pass and one batched solve. A run begins an iteration
-    after an accepted step; after a rejected one it retries the same point
-    with four times the damping, and it gives up, unconverged, once the
-    damping reaches 1e8. Joints pinned at a limit by the gradient take no
-    step and are left out of the gradient test: their gradient entries are
-    zero and their rows and columns of the system are the identity, which
-    leaves the system of the free joints as it is. So a minimum on the joint
-    box's boundary counts as converged. A run also stops, converged, once an
-    accepted step lowers the objective by at most ``STALL_REL`` of its value:
-    at large-residual minima Gauss-Newton converges only linearly, and the
-    objective stops moving long before the absolute gradient test is met.
+    ``obj``, ``rx`` and ``jac`` are the ``_prior_score`` of the starts. The
+    four arrays are updated in place and end as each run's end point,
+    objective, task residual and Jacobian; the Jacobian at an accepted point
+    is the one from the pass that scored it. Returns each run's iteration
+    count and convergence flag.
 
-    Returns each run's end point, objective, task residual, iteration count
-    and convergence flag. The Jacobian at an accepted point is the one from
-    the pass that scored it.
+    Each round advances the whole batch: every row gets its gradient, damped
+    solve, capped step and candidate score from one batched forward pass and
+    one batched solve, and only the rows still searching take their outcome,
+    by masked writes. A run begins an iteration after an accepted step; after
+    a rejected one it retries the same point with four times the damping, and
+    it gives up, unconverged, once the damping reaches 1e8. Joints pinned at
+    a limit by the gradient take no step and are left out of the gradient
+    test: their gradient entries are zero and their rows and columns of the
+    system are the identity, which leaves the system of the free joints as it
+    is. So a minimum on the joint box's boundary counts as converged. A run
+    also stops, converged, once an accepted step lowers the objective by at
+    most ``STALL_REL`` of its value: at large-residual minima Gauss-Newton
+    converges only linearly, and the objective stops moving long before the
+    absolute gradient test is met.
     """
     lo, hi = chain.limits
     eye = np.eye(chain.n_joints)
-    q = starts.copy()
-    obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+    prior_h = lambda_q * eye
     lam = np.full(q.shape[0], 1e-3)
     iters = np.zeros(q.shape[0], dtype=np.int64)
     converged = obj == 0.0
     searching = ~converged
     fresh = np.ones(q.shape[0], dtype=bool)  # the next candidate begins an iteration
-    while searching.any():
-        a = np.flatnonzero(searching)
-        qa, jt = q[a], np.swapaxes(jac[a], 1, 2)
-        g = 2.0 * ((lambda_x * jt @ rx[a, :, None])[..., 0] + lambda_q * (qa - mu_q))
-        free = ~(((qa <= lo) & (g > 0)) | ((qa >= hi) & (g < 0)))
-        g[~free] = 0.0
-        flat = np.linalg.norm(g, axis=1) < grad_tol
+    while True:
+        jt = np.swapaxes(jac, 1, 2)
+        g = 2.0 * ((lambda_x * jt @ rx[:, :, None])[..., 0] + lambda_q * (q - mu_q))
+        free = ~(((q <= lo) & (g > 0)) | ((q >= hi) & (g < 0)))
+        g = np.where(free, g, 0.0)
+        flat = np.sqrt((g * g).sum(axis=1)) < grad_tol
         # a run that begins an iteration ends on a flat gradient or a spent budget
-        spent = fresh[a] & (iters[a] == max_iters)
-        iters[a] += fresh[a] & ~spent
-        done = fresh[a] & (flat | spent)
-        converged[a[done]] = flat[done]
-        searching[a[done]] = False
-        go = ~done
-        if not go.any():
-            continue
-        a, qa, jt, g, free = a[go], qa[go], jt[go], g[go], free[go]
-        h = 2.0 * (lambda_x * jt @ np.swapaxes(jt, 1, 2) + lambda_q * eye)
-        h = np.where(free[:, :, None] & free[:, None, :], h + lam[a, None, None] * eye, eye)
+        begin = searching & fresh
+        spent = begin & (iters == max_iters)
+        iters += begin & ~spent
+        done = begin & (flat | spent)
+        converged |= done & flat
+        searching &= ~done
+        if not searching.any():
+            return iters, converged
+        h = 2.0 * (lambda_x * jt @ jac + prior_h)
+        h = np.where(free[:, :, None] & free[:, None, :], h + lam[:, None, None] * eye, eye)
         step = np.linalg.solve(h, -g[..., None])[..., 0]
-        cand = np.clip(qa + _cap_step(step), lo, hi)
-        obj_cand, rx_cand, jac_cand = _prior_score(
-            chain, cand, x_target, mu_q, lambda_x, lambda_q
-        )
-        better = obj_cand < obj[a]
-        won = a[better]
-        stalled = obj[won] - obj_cand[better] <= STALL_REL * obj[won]
-        q[won], obj[won], rx[won], jac[won] = (
-            cand[better], obj_cand[better], rx_cand[better], jac_cand[better]
-        )
-        lam[a] = np.where(better, np.maximum(lam[a] * 0.5, 1e-9), lam[a] * 4.0)
-        fresh[a] = better
-        converged[won[stalled]] = True
-        searching[won[stalled]] = False
-        searching[a[lam[a] >= 1e8]] = False
-    return q, obj, rx, iters, converged
+        cand = np.minimum(np.maximum(q + _cap_step(step), lo), hi)
+        obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)
+        better = searching & (obj_c < obj)
+        stalled = better & (obj - obj_c <= STALL_REL * obj)
+        np.copyto(q, cand, where=better[:, None])
+        np.copyto(obj, obj_c, where=better)
+        np.copyto(rx, rx_c, where=better[:, None])
+        np.copyto(jac, jac_c, where=better[:, None, None])
+        # masked, so a stopped run's damping cannot overflow while others search
+        np.multiply(lam, 0.5, out=lam, where=better)
+        np.maximum(lam, 1e-9, out=lam, where=better)
+        np.multiply(lam, 4.0, out=lam, where=searching & ~better)
+        fresh = better
+        converged |= stalled
+        searching &= ~stalled & (lam < 1e8)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from comotion.hmm import (
     forward,
     forward_unobserved,
     init_segments,
+    occupancy,
 )
 from comotion.infer import conditional_predictions
 from comotion.net import AdamState, adam_step
@@ -175,11 +176,13 @@ def _validation_mse(v_h, v_r, hmms, val: list[_TrajFeatures], variant: Variant) 
 
 
 def _occupancy_guard(hmm: Hmm, seqs: list[np.ndarray], n_states: int) -> Hmm:
-    """Replace a collapsed refit with the plain segment initialization."""
-    occ = np.zeros(n_states)
-    for s in seqs:
-        occ += forward(hmm, s).values.mean(axis=0)
-    occ /= len(seqs)
+    """Replace a collapsed refit with the plain segment initialization.
+
+    A refit has collapsed when a state's ``occupancy`` over the label's
+    sequences, all taken through one padded forward pass, falls below a tenth
+    of the uniform share.
+    """
+    occ = occupancy(hmm, seqs)
     if occ.min() < 1.0 / (10.0 * n_states):
         log.warning(
             "sequence-model component occupancy collapsed (min %.4f); "
@@ -438,8 +441,10 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "robot_vae": None if bundle.shared_vae else bundle.robot_vae.to_dict(),
         "interactions": interactions,
     }
+    # json.dumps encodes in C; json.dump streams through the pure-Python encoder
+    text = json.dumps(doc, sort_keys=True)
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+        f.write(text)
 
 
 def _non_finite_path(node) -> list | None:

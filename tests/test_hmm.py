@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from comotion import _kernels
 from comotion.errors import NumericalError
 from comotion.gauss import EIGEN, Gaussian, condition_exact, log_pdf, regularize_spd
 from comotion.hmm import (
@@ -19,6 +20,7 @@ from comotion.hmm import (
     gmr_condition,
     init_segments,
     most_likely,
+    occupancy,
     state_log_liks,
 )
 
@@ -281,6 +283,45 @@ def test_em_does_not_mutate_init():
     em_fit(init, seqs, max_iters=3, tol=1e-12)
     np.testing.assert_array_equal(init.pi, snap[0])
     np.testing.assert_array_equal(init.means, snap[2])
+
+
+def test_em_converging_iteration_runs_no_backward_pass(monkeypatch):
+    """The iteration whose log-likelihood meets the tolerance ends right after
+    its forward pass: every earlier iteration runs one backward pass."""
+    backward = _kernels.backward_log
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return backward(*args)
+
+    monkeypatch.setattr(_kernels, "backward_log", counted)
+    rng = np.random.default_rng(14)
+    seqs = [np.cumsum(rng.standard_normal((40, 4)), axis=0) for _ in range(4)]
+    _, trace = em_fit(init_segments(seqs, 3, 2), seqs, max_iters=50, tol=1e-4)
+    assert 1 < len(trace) < 50
+    assert len(calls) == len(trace) - 1
+
+
+def test_occupancy_matches_per_sequence_forward():
+    """One padded forward pass over ragged sequences gives the average of
+    each sequence's own forward variable averaged over its steps."""
+    rng = np.random.default_rng(15)
+    hmm = random_hmm(rng, 4, 2)
+    seqs, _ = sample_hmm_sequences(hmm, rng, 5, 60)
+    seqs = [s[:n] for s, n in zip(seqs, (60, 23, 2, 41, 59))]
+    expected = np.mean([forward(hmm, s).values.mean(axis=0) for s in seqs], axis=0)
+    np.testing.assert_allclose(occupancy(hmm, seqs), expected, rtol=0, atol=1e-12)
+
+
+def test_occupancy_collapse_names_timestep():
+    """A collapse after the end of a shorter sequence is found in the longer
+    one; the shorter one's padding is not a collapse."""
+    covs = np.stack([1e-18 * np.eye(2)] * 2)
+    h = Hmm(np.array([1.0, 0.0]), np.eye(2), np.zeros((2, 2)), covs, 1)
+    seqs = [np.zeros((2, 2)), np.vstack([np.zeros((3, 2)), np.full((2, 2), 1e200)])]
+    with pytest.raises(NumericalError, match="timestep 3"):
+        occupancy(h, seqs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from comotion.kin import (
+    STALL_REL,
+    IkSolution,
     KinematicChain,
     Joint,
+    _cap_step,
+    _prior_score,
+    _prior_search,
     default_arm_chain,
     fk,
     fk_points,
@@ -322,3 +327,165 @@ def test_chain_json_round_trip(tmp_path):
     loaded = load_chain(p)
     q = np.array([0.1, 0.2, 0.3, 0.4])
     np.testing.assert_allclose(fk(loaded, q), fk(chain, q), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the full-batch prior-IK search against the compacting one
+# ---------------------------------------------------------------------------
+
+
+def prior_search_reference(chain, x_target, mu_q, lambda_x, lambda_q, starts, grad_tol, max_iters):
+    """The compacting lockstep search: each round gathers the runs still
+    searching, advances only them, and scatters the accepted steps back.
+    Returns each run's end point, objective, task residual, iteration count
+    and convergence flag."""
+    lo, hi = chain.limits
+    eye = np.eye(chain.n_joints)
+    q = starts.copy()
+    obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+    lam = np.full(q.shape[0], 1e-3)
+    iters = np.zeros(q.shape[0], dtype=np.int64)
+    converged = obj == 0.0
+    searching = ~converged
+    fresh = np.ones(q.shape[0], dtype=bool)
+    while searching.any():
+        a = np.flatnonzero(searching)
+        qa, jt = q[a], np.swapaxes(jac[a], 1, 2)
+        g = 2.0 * ((lambda_x * jt @ rx[a, :, None])[..., 0] + lambda_q * (qa - mu_q))
+        free = ~(((qa <= lo) & (g > 0)) | ((qa >= hi) & (g < 0)))
+        g[~free] = 0.0
+        flat = np.linalg.norm(g, axis=1) < grad_tol
+        spent = fresh[a] & (iters[a] == max_iters)
+        iters[a] += fresh[a] & ~spent
+        done = fresh[a] & (flat | spent)
+        converged[a[done]] = flat[done]
+        searching[a[done]] = False
+        go = ~done
+        if not go.any():
+            continue
+        a, qa, jt, g, free = a[go], qa[go], jt[go], g[go], free[go]
+        h = 2.0 * (lambda_x * jt @ np.swapaxes(jt, 1, 2) + lambda_q * eye)
+        h = np.where(free[:, :, None] & free[:, None, :], h + lam[a, None, None] * eye, eye)
+        step = np.linalg.solve(h, -g[..., None])[..., 0]
+        cand = np.clip(qa + _cap_step(step), lo, hi)
+        obj_cand, rx_cand, jac_cand = _prior_score(
+            chain, cand, x_target, mu_q, lambda_x, lambda_q
+        )
+        better = obj_cand < obj[a]
+        won = a[better]
+        stalled = obj[won] - obj_cand[better] <= STALL_REL * obj[won]
+        q[won], obj[won], rx[won], jac[won] = (
+            cand[better], obj_cand[better], rx_cand[better], jac_cand[better]
+        )
+        lam[a] = np.where(better, np.maximum(lam[a] * 0.5, 1e-9), lam[a] * 4.0)
+        fresh[a] = better
+        converged[won[stalled]] = True
+        searching[won[stalled]] = False
+        searching[a[lam[a] >= 1e8]] = False
+    return q, obj, rx, iters, converged
+
+
+def ik_with_prior_reference(
+    chain, x_target, mu_q, lambda_x, lambda_q, q_init=None, grad_tol=1e-6, max_iters=200,
+    restarts=8,
+):
+    """``ik_with_prior`` on the compacting search, with the warm start scored
+    alone before the restarts are drawn."""
+    q0 = chain.clamp(mu_q if q_init is None else q_init)
+    obj, rx, _ = _prior_score(chain, q0[None], x_target, mu_q, lambda_x, lambda_q)
+    if obj[0] == 0.0:
+        return IkSolution(q0, float(np.linalg.norm(rx[0])), 0, True)
+    lo, hi = chain.limits
+    draws = np.random.default_rng(0).uniform(lo, hi, size=(restarts, chain.n_joints))
+    q, obj, rx, iters, converged = prior_search_reference(
+        chain, x_target, mu_q, lambda_x, lambda_q, np.vstack([q0, draws]), grad_tol, max_iters
+    )
+    best = int(np.argmin(obj))
+    return IkSolution(
+        q[best], float(np.linalg.norm(rx[best])), int(iters.sum()), bool(converged[best])
+    )
+
+
+def _limit_chain():
+    """Two planar links whose first joint can swing only +-0.5 rad."""
+    z = np.array([0.0, 0.0, 1.0])
+    return KinematicChain(
+        (Joint(np.eye(4), z, -0.5, 0.5), Joint(translation([1.0, 0.0, 0.0]), z, -np.pi, np.pi)),
+        np.eye(4),
+        translation([1.0, 0.0, 0.0]),
+    )
+
+
+def _oracle_cases():
+    arm = default_arm_chain()
+    planar = planar_chain((1.0, 1.0))
+    rng = np.random.default_rng(21)
+    lo, hi = arm.limits
+    cases = [
+        pytest.param(
+            arm, fk(arm, rng.uniform(lo, hi)) + rng.normal(0.0, 0.03, 3), rng.uniform(lo, hi),
+            0.01, {}, id=f"reachable-{i}",
+        )
+        for i in range(6)
+    ]
+    mu_q = rng.uniform(lo, hi)
+    return cases + [
+        pytest.param(arm, np.array([1.0, 0.5, -0.2]), mu_q, 0.01, {}, id="three-times-reach"),
+        pytest.param(arm, np.array([0.02, 0.0, 0.0]), mu_q, 0.01, {}, id="inside-elbow-fold"),
+        pytest.param(
+            _limit_chain(), np.array([0.0, 1.5, 0.0]), np.zeros(2), 0.01, {"restarts": 0},
+            id="ends-on-joint-limit",
+        ),
+        pytest.param(
+            planar, fk(planar, [0.4, 1.1]), np.array([-2.0, 0.3]), 0.0, {"grad_tol": 1e-9},
+            id="lambda-q-zero",
+        ),
+        pytest.param(
+            arm, fk(arm, rng.uniform(lo, hi)), mu_q, 0.01, {"restarts": 0}, id="no-restarts"
+        ),
+        pytest.param(arm, fk(arm, mu_q), mu_q, 0.01, {}, id="exact-warm-start"),
+    ]
+
+
+@pytest.mark.parametrize("chain, target, mu_q, lambda_q, kwargs", _oracle_cases())
+def test_ik_prior_search_matches_compacting_reference(chain, target, mu_q, lambda_q, kwargs):
+    """Advancing every run on the full batch changes no run's arithmetic:
+    each run's end point, objective, iterations and convergence are
+    bit-equal to the compacting search's, and so is the solution."""
+    grad_tol = kwargs.get("grad_tol", 1e-6)
+    restarts = kwargs.get("restarts", 8)
+    lo, hi = chain.limits
+    draws = np.random.default_rng(0).uniform(lo, hi, size=(restarts, chain.n_joints))
+    starts = np.vstack([chain.clamp(mu_q), draws])
+    ref_q, ref_obj, ref_rx, ref_iters, ref_conv = prior_search_reference(
+        chain, target, mu_q, 1.0, lambda_q, starts, grad_tol, 200
+    )
+    q = starts.copy()
+    obj, rx, jac = _prior_score(chain, q, target, mu_q, 1.0, lambda_q)
+    iters, conv = _prior_search(chain, target, mu_q, 1.0, lambda_q, q, obj, rx, jac, grad_tol, 200)
+    np.testing.assert_array_equal(q, ref_q)
+    np.testing.assert_array_equal(obj, ref_obj)
+    np.testing.assert_array_equal(rx, ref_rx)
+    np.testing.assert_array_equal(iters, ref_iters)
+    np.testing.assert_array_equal(conv, ref_conv)
+
+    sol = ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs)
+    ref = ik_with_prior_reference(chain, target, mu_q, 1.0, lambda_q, **kwargs)
+    np.testing.assert_array_equal(sol.q, ref.q)
+    assert (sol.residual, sol.iterations, sol.converged) == (
+        ref.residual, ref.iterations, ref.converged
+    )
+
+
+def test_ik_prior_oracle_cases_cover_their_outcomes():
+    """The cases above reach what they are named for: an exact warm start
+    returns at once, a run ends on a joint limit, and the unreachable targets
+    stop short."""
+    cases = {p.id: p.values for p in _oracle_cases()}
+    chain, target, mu_q, lambda_q, kwargs = cases["exact-warm-start"]
+    assert ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs).iterations == 0
+    chain, target, mu_q, lambda_q, kwargs = cases["ends-on-joint-limit"]
+    assert ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs).q[0] == 0.5
+    for name in ("three-times-reach", "inside-elbow-fold"):
+        chain, target, mu_q, lambda_q, kwargs = cases[name]
+        assert ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs).residual > 0.01

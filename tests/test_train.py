@@ -1,14 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 from comotion.data import SynthInteraction, SynthSpec, split, synth_generate
 from comotion.errors import ConfigError
 from comotion.gauss import Gaussian
-from comotion.hmm import Hmm, TransitionStateModel, forward_unobserved
+from comotion.hmm import Hmm, TransitionStateModel, forward_unobserved, init_segments
 from comotion.train import (
     ModelBundle,
     TrainConfig,
     _initial_hmm,
+    _occupancy_guard,
     fit_transition_states,
     load_bundle,
     save_bundle,
@@ -55,6 +58,25 @@ def test_initial_hmm_is_zero_mean_identity():
     # with identical components the first-epoch prior is standard normal
     bar = forward_unobserved(h, 10)
     assert np.allclose(bar.values, 1.0 / 6.0)
+
+
+def test_occupancy_guard_keeps_a_healthy_refit_and_replaces_a_collapsed_one(caplog):
+    """A refit whose last state is never visited falls back to the segment
+    initialization of the same sequences; one that visits every state stays."""
+    rng = np.random.default_rng(16)
+    seqs = [
+        np.linspace(0.0, 3.0, n)[:, None] + 0.05 * rng.standard_normal((n, 2))
+        for n in (30, 24, 37)
+    ]
+    healthy = init_segments(seqs, 3, 1)
+    assert _occupancy_guard(healthy, seqs, 3) is healthy
+    collapsed = init_segments(seqs, 3, 1)
+    collapsed.means[2] = 50.0
+    with caplog.at_level(logging.WARNING):
+        out = _occupancy_guard(collapsed, seqs, 3)
+    assert any("occupancy collapsed" in r.message for r in caplog.records)
+    for field in ("pi", "trans", "means", "covs"):
+        np.testing.assert_array_equal(getattr(out, field), getattr(healthy, field))
 
 
 def test_hhi_loss_decreases(small_dataset, small_config, hhi_bundle):
@@ -192,8 +214,6 @@ def test_fit_transition_states_no_points_disables_gate(caplog):
     ds = split(synth_generate(spec, rng), 0.8, seed=0)
     bundle = ModelBundle(v, vr, {"greet": (hmm, None)}, TrainConfig(epochs=1), 0)
     state_sets = {"greet": ([1], [0])}
-    import logging
-
     with caplog.at_level(logging.WARNING):
         out = fit_transition_states(bundle, ds, state_sets)
     assert out.hmms["greet"][1].gate is None
