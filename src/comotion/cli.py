@@ -18,9 +18,10 @@ import numpy as np
 from comotion.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.evaluate import (
-    _load_experiment_dataset,
-    _state_sets_from_config,
+    load_config,
+    load_experiment_dataset,
     run_experiment,
+    state_sets_from_config,
 )
 from comotion.hmm import forward_unobserved
 from comotion.infer import rollout
@@ -40,29 +41,14 @@ log = logging.getLogger("comotion")
 
 
 def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"missing config file: {path}")
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from None
-
-
-def _dataset_from_config(config: dict, path_arg: str | None) -> Dataset:
-    if path_arg:
-        config = {**config, "dataset": path_arg}
-    return _load_experiment_dataset(config)
-
-
-def _train_config(config: dict, args) -> TrainConfig:
-    cfg = TrainConfig.from_dict(config.get("train", {}))
+    """The ``--config`` file, or {}, with the training commands' ``--data``
+    and ``--variant`` applied over its dataset and ``train.variant``."""
+    config = load_config(args.config) if args.config else {}
+    if getattr(args, "data", None):
+        config = {**config, "dataset": args.data}
     if getattr(args, "variant", None):
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), "variant": args.variant})
-    return cfg
+        config = {**config, "train": {**config.get("train", {}), "variant": args.variant}}
+    return config
 
 
 def cmd_synth(args) -> int:
@@ -78,8 +64,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train_hhi(args) -> int:
     config = _load_config(args)
-    ds = _dataset_from_config(config, args.data)
-    cfg = _train_config(config, args)
+    ds = load_experiment_dataset(config)
+    cfg = TrainConfig.from_dict(config.get("train", {}))
     bundle = train_hhi(ds, cfg, args.seed)
     out = Path(args.out or "hhi_out")
     save_bundle(bundle, out / "model.json")
@@ -93,11 +79,11 @@ def cmd_train_hhi(args) -> int:
 
 def cmd_train_hri(args) -> int:
     config = _load_config(args)
-    ds = _dataset_from_config(config, args.data)
-    cfg = _train_config(config, args)
+    ds = load_experiment_dataset(config)
+    cfg = TrainConfig.from_dict(config.get("train", {}))
     hhi = load_bundle(args.hhi)
     bundle = train_hri(ds, hhi, cfg, args.seed)
-    state_sets = _state_sets_from_config(config)
+    state_sets = state_sets_from_config(config)
     if state_sets:
         bundle = fit_transition_states(bundle, ds, state_sets)
     out = Path(args.out or "hri_out")
@@ -144,7 +130,6 @@ def cmd_rollout(args) -> int:
         + ",".join(f"q_{i + 1}" for i in range(n_r))
         + ",stiffness_low,"
         + ",".join(f"alpha_{i + 1}" for i in range(n_states))
-        + ",gate"
     )
     lines = [header]
     for t in range(result.q.shape[0]):
@@ -153,7 +138,6 @@ def cmd_rollout(args) -> int:
             + ",".join(repr(float(v)) for v in result.q[t])
             + f",{int(result.stiffness_low[t])},"
             + ",".join(repr(float(v)) for v in result.alpha[t])
-            + f",{int(result.gate[t])}"
         )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")
@@ -172,6 +156,8 @@ def cmd_ik_demo(args) -> int:
     print(f"baseline IK: q={np.round(base.q, 4).tolist()} residual={base.residual:.2e} "
           f"iters={base.iterations} converged={base.converged}")
     mu_q = np.asarray(args.prior, dtype=np.float64) if args.prior else np.zeros(chain.n_joints)
+    if mu_q.shape != (chain.n_joints,):
+        raise ConfigError(f"--prior has {mu_q.size} values; the chain has {chain.n_joints} joints")
     sol = ik_with_prior(chain, target, mu_q, args.lambda_x, args.lambda_q)
     print(f"prior IK:    q={np.round(sol.q, 4).tolist()} residual={sol.residual:.2e} "
           f"iters={sol.iterations} converged={sol.converged}")
@@ -180,6 +166,8 @@ def cmd_ik_demo(args) -> int:
 
 
 def cmd_inspect_hmm(args) -> int:
+    if args.horizon < 1:
+        raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
     bundle = load_bundle(args.model)
     for label, (hmm, tsm) in sorted(bundle.hmms.items()):
         print(f"interaction {label!r}: {hmm.n_states} states, dim {hmm.dim}")

@@ -1,4 +1,4 @@
-"""Dataset ingestion, windowed featurization, retargeting, synthetic data.
+"""Dataset ingestion, windowed featurization, synthetic data.
 
 On-disk format: a directory with ``manifest.json`` listing trajectories and
 one CSV per agent per trajectory (header row, fixed column order). The
@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from comotion.errors import DataError
-from comotion.kin import KinematicChain, default_arm_chain
+from comotion.errors import ConfigError, DataError
 
 H_COLUMNS = [
     f"{joint}_{ax}" for joint in ("shoulder", "elbow", "wrist") for ax in "xyz"
@@ -63,16 +61,6 @@ class Dataset:
     @property
     def labels(self) -> list[str]:
         return sorted({p.label for p in self.pairs})
-
-    def by_label(self, label: str, subset: str | None = None) -> list[TrajectoryPair]:
-        out = []
-        for i, p in enumerate(self.pairs):
-            if p.label != label:
-                continue
-            if subset is not None and (self.assignment or [])[i] != subset:
-                continue
-            out.append(p)
-        return out
 
     def subset(self, which: str) -> list[TrajectoryPair]:
         if self.assignment is None:
@@ -121,82 +109,6 @@ def pair_features(pair: TrajectoryPair, w: int) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def downsample(pair: TrajectoryPair, target_hz: float) -> TrajectoryPair:
-    """Uniform index subsampling to (approximately) ``target_hz``."""
-    if target_hz <= 0:
-        raise ValueError("target rate must be positive")
-    if target_hz > pair.rate:
-        raise ValueError(f"target {target_hz} Hz exceeds source {pair.rate} Hz")
-    if target_hz == pair.rate:
-        return pair
-    T = pair.length
-    ratio = pair.rate / target_hz
-    n_out = math.ceil(T / ratio)
-    idx = np.floor(np.arange(n_out) * ratio).astype(int)
-    meta = dict(pair.meta)
-    for key, val in pair.meta.items():
-        if isinstance(val, np.ndarray) and val.shape[:1] == (T,):
-            meta[key] = val[idx]
-        elif key in ("contact_start", "contact_end"):
-            meta[key] = int(np.searchsorted(idx, val))
-    return TrajectoryPair(
-        pair.label, pair.h_frames[idx], pair.r_frames[idx], target_hz, meta
-    )
-
-
-# ---------------------------------------------------------------------------
-# skeleton-to-joint retargeting
-# ---------------------------------------------------------------------------
-
-
-def retarget_skeleton(
-    h_frames: np.ndarray, chain: KinematicChain | None = None
-) -> np.ndarray:
-    """Shoulder pitch/yaw/roll and elbow angle from 3D arm positions.
-
-    Frames follow the x-forward / y-left / z-up convention with the
-    shoulder at the origin. The roll convention places the elbow axis
-    normal to the plane spanned by upper arm and forearm; a straight arm
-    (degenerate plane) gets roll 0. Outputs are clamped to chain limits.
-    """
-    chain = chain or default_arm_chain()
-    frames = np.asarray(h_frames, dtype=np.float64).reshape(-1, 3, 3)
-    out = np.empty((frames.shape[0], 4))
-    for t, (shoulder, elbow, wrist) in enumerate(frames):
-        upper = elbow - shoulder
-        fore = wrist - elbow
-        len_u, len_f = np.linalg.norm(upper), np.linalg.norm(fore)
-        if len_u < 1e-9 or len_f < 1e-9:
-            raise DataError(f"zero-length limb segment at frame {t}")
-        u = upper / len_u
-        f = fore / len_f
-        pitch = math.atan2(-u[2], u[0])
-        yaw = math.asin(np.clip(u[1], -1.0, 1.0))
-        elbow_angle = math.acos(np.clip(u @ f, -1.0, 1.0))
-        normal = np.cross(u, f)
-        n_norm = np.linalg.norm(normal)
-        if n_norm < 1e-9:
-            roll = 0.0
-        else:
-            # express the bend-plane normal in the pre-roll shoulder frame
-            ry = _roty(pitch)
-            rz = _rotz(yaw)
-            n_local = (ry @ rz).T @ (normal / n_norm)
-            roll = math.atan2(-n_local[1], n_local[2])
-        out[t] = (pitch, yaw, roll, elbow_angle)
-    return chain.clamp(out)
-
-
-def _roty(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rotz(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # synthetic coupled interactions
 # ---------------------------------------------------------------------------
@@ -219,8 +131,15 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        inter = tuple(SynthInteraction(**i) for i in d.get("interactions", [{}]))
-        return cls(inter, float(d.get("rate", 20.0)))
+        """Spec of a ``synth`` config entry; an unknown interaction key is a
+        ConfigError naming it."""
+        inter = []
+        for i in d.get("interactions", [{}]):
+            unknown = sorted(set(i) - set(SynthInteraction.__dataclass_fields__))
+            if unknown:
+                raise ConfigError(f"config field synth.interactions: unknown keys {unknown}")
+            inter.append(SynthInteraction(**i))
+        return cls(tuple(inter), float(d.get("rate", 20.0)))
 
 
 _REST = {"elbow": np.array([0.02, -0.09, -0.26]), "wrist": np.array([0.04, -0.08, -0.52])}

@@ -4,16 +4,10 @@
 class ConfigError(Exception):
     """Invalid or inconsistent configuration."""
 
-    exit_code = 2
-
 
 class DataError(Exception):
     """Missing or malformed dataset files."""
 
-    exit_code = 3
-
 
 class NumericalError(Exception):
     """Numerical failure (non-SPD covariance, collapsed likelihood, ...)."""
-
-    exit_code = 4

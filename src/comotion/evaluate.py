@@ -135,17 +135,6 @@ class EvalReport:
     p_values: dict  # (interaction, variant_a, variant_b) -> p
     config: dict
 
-    def per_trajectory(self, variant: str, interaction: str | None = None) -> list[float]:
-        return [
-            r.mse_window
-            for r in self.rows
-            if r.variant == variant
-            and (interaction is None or r.interaction == interaction)
-        ]
-
-    def mean_mse(self, variant: str, interaction: str | None = None) -> float:
-        return float(np.mean(self.per_trajectory(variant, interaction)))
-
 
 def _stage(name: str, fingerprint: str):
     class _Ctx:
@@ -162,7 +151,25 @@ def _stage(name: str, fingerprint: str):
     return _Ctx()
 
 
-def _load_experiment_dataset(config: dict) -> Dataset:
+def load_config(path: str | Path) -> dict:
+    """Read a JSON config file; one that is missing, is not JSON or is not
+    an object is a ConfigError naming the file."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"missing config file: {path}")
+    try:
+        with open(path) as f:
+            config = json.load(f)
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"malformed config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"malformed config {path}: not a JSON object")
+    return config
+
+
+def load_experiment_dataset(config: dict) -> Dataset:
+    """The config's dataset, a directory or a ``synth`` spec, with its
+    train/test split."""
     src = config.get("dataset")
     if src is None:
         raise ConfigError("config lacks a 'dataset' entry")
@@ -173,7 +180,10 @@ def _load_experiment_dataset(config: dict) -> Dataset:
         ds = synth_generate(spec, np.random.default_rng(int(src.get("seed", 0))))
     else:
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
-    return split(ds, float(config.get("split_fraction", 0.8)), int(config.get("split_seed", 0)))
+    fraction = config.get("split_fraction", 0.8)
+    if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
+        raise ConfigError(f"config field split_fraction must be in (0, 1), got {fraction!r}")
+    return split(ds, float(fraction), int(config.get("split_seed", 0)))
 
 
 def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> list[tuple[str, int, float, float]]:
@@ -227,7 +237,7 @@ def _seed_job(args: dict) -> dict:
     config = args["config"]
     seed = args["seed"]
     out_dir = Path(args["out_dir"])
-    dataset = _load_experiment_dataset(config)
+    dataset = load_experiment_dataset(config)
     base_cfg = TrainConfig.from_dict({**config.get("train", {}), "seeds": [seed]})
     fingerprint = config_fingerprint(config, seed)
     with _stage("train-hhi", fingerprint):
@@ -236,7 +246,7 @@ def _seed_job(args: dict) -> dict:
     save_bundle(hhi, seed_dir / "hhi_model.json")
     write_trace(seed_dir / "hhi_loss_trace.csv", hhi.trace)
     results: dict = {"seed": seed, "variants": {}}
-    state_sets = _state_sets_from_config(config)
+    state_sets = state_sets_from_config(config)
     for tag in config.get("variants", ["v1"]):
         cfg_v = replace(base_cfg, variant=Variant(tag))
         with _stage(f"train-hri[{tag}]", fingerprint):
@@ -253,7 +263,9 @@ def _seed_job(args: dict) -> dict:
     return results
 
 
-def _state_sets_from_config(config: dict) -> dict | None:
+def state_sets_from_config(config: dict) -> dict | None:
+    """Per label (contact_states, reach_states) from the config, or None
+    when it names no contact states."""
     contact = config.get("contact_states")
     reach = config.get("reach_states")
     if not contact:
@@ -267,11 +279,9 @@ def _state_sets_from_config(config: dict) -> dict | None:
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> EvalReport:
     """Train, evaluate and report over the (variant x seed) grid."""
     if not isinstance(config, dict):
-        path = Path(config)
-        if not path.exists():
-            raise ConfigError(f"missing config file: {path}")
-        with open(path) as f:
-            config = json.load(f)
+        config = load_config(config)
+    for tag in config.get("variants", ["v1"]):
+        Variant(tag)  # an unknown tag fails here, before any training
     out_dir = Path(out_dir or config.get("out", "experiment_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in config.get("seeds", [0])]

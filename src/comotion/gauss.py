@@ -1,4 +1,4 @@
-"""Dense Gaussian algebra: log-density, KL, exact conditioning, SPD repair.
+"""Dense Gaussian algebra: log-density and SPD repair.
 
 Every distribution in the package is carried as a mean plus a full
 symmetric positive-definite covariance; this module is the shared currency
@@ -9,15 +9,12 @@ and stays in log space.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from comotion._kernels import chol_logpdf
 from comotion.errors import NumericalError
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -69,66 +66,24 @@ class Gaussian:
 
 
 @dataclass(frozen=True)
-class BlockedGaussian:
-    """Joint Gaussian over two equally sized blocks (first block size d_z)."""
-
-    base: Gaussian
-    d_z: int = field(default=0)
-
-    def __post_init__(self):
-        d_z = self.d_z or self.base.dim // 2
-        if not 0 < d_z < self.base.dim:
-            raise ValueError(f"block split {d_z} invalid for dim {self.base.dim}")
-        object.__setattr__(self, "d_z", d_z)
-
-    @property
-    def mu_h(self) -> np.ndarray:
-        return self.base.mean[: self.d_z]
-
-    @property
-    def mu_r(self) -> np.ndarray:
-        return self.base.mean[self.d_z :]
-
-    @property
-    def s_hh(self) -> np.ndarray:
-        return self.base.cov[: self.d_z, : self.d_z]
-
-    @property
-    def s_hr(self) -> np.ndarray:
-        return self.base.cov[: self.d_z, self.d_z :]
-
-    @property
-    def s_rh(self) -> np.ndarray:
-        return self.base.cov[self.d_z :, : self.d_z]
-
-    @property
-    def s_rr(self) -> np.ndarray:
-        return self.base.cov[self.d_z :, self.d_z :]
-
-
-@dataclass(frozen=True)
 class RegSchedule:
     """How to push a symmetric matrix to positive definiteness.
 
-    flat:   add ``eps`` to every diagonal entry.
-    linear: add increments linearly spaced from ``lo`` to ``eps`` along the
-            diagonal.
-    eigen:  while Cholesky fails, add ``c * |lambda_min|`` to the diagonal.
+    flat:  add ``eps`` to every diagonal entry.
+    eigen: while Cholesky fails, add ``c * |lambda_min|`` to the diagonal.
     """
 
     mode: str = "flat"
     eps: float = 1e-4
-    lo: float = 9.1e-5
     c: float = 1e-2
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.mode not in ("flat", "linear", "eigen"):
+        if self.mode not in ("flat", "eigen"):
             raise ValueError(f"unknown regularization mode {self.mode!r}")
 
 
 FLAT = RegSchedule("flat")
-LINEAR = RegSchedule("linear")
 EIGEN = RegSchedule("eigen")
 
 
@@ -141,12 +96,6 @@ def regularize_spd(m: np.ndarray, schedule: RegSchedule = FLAT) -> np.ndarray:
     out = 0.5 * (m + m.T)
     if schedule.mode == "flat":
         out = out + schedule.eps * np.eye(d)
-    elif schedule.mode == "linear":
-        if d == 1:
-            incr = np.array([schedule.eps])
-        else:
-            incr = np.linspace(schedule.lo, schedule.eps, d)
-        out = out + np.diag(incr)
     # spectral repair loop; a floor handles exactly singular inputs where
     # |lambda_min| vanishes, escalating if one bump is not enough
     floor = 1e-10 * max(1.0, float(np.abs(np.diag(out)).max()))
@@ -169,42 +118,3 @@ def log_pdf(g: Gaussian, x) -> float:
         raise ValueError(f"point dim {x.shape[0]} != Gaussian dim {g.dim}")
     chol = cholesky_or_raise(g.cov)
     return float(chol_logpdf(x[None, :], g.mean, chol)[0])
-
-
-def kl_divergence(q: Gaussian, p: Gaussian) -> float:
-    """KL(q || p) in closed form; both covariances must be SPD."""
-    if q.dim != p.dim:
-        raise ValueError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
-    d = q.dim
-    chol_p = cholesky_or_raise(p.cov)
-    chol_q = cholesky_or_raise(q.cov)
-    # tr(Sigma_p^-1 Sigma_q) = ||L_p^-1 L_q||_F^2
-    a = np.linalg.solve(chol_p, chol_q)
-    trace = float((a * a).sum())
-    diff = p.mean - q.mean
-    y = np.linalg.solve(chol_p, diff)
-    maha = float(y @ y)
-    logdet_p = 2.0 * float(np.log(np.diag(chol_p)).sum())
-    logdet_q = 2.0 * float(np.log(np.diag(chol_q)).sum())
-    return 0.5 * (trace + maha - d + logdet_p - logdet_q)
-
-
-def condition_exact(j: BlockedGaussian, z_h) -> Gaussian:
-    """Distribution of the second block given an observed first block."""
-    z_h = np.asarray(z_h, dtype=np.float64).reshape(-1)
-    if z_h.shape[0] != j.d_z:
-        raise ValueError(f"conditioning point dim {z_h.shape[0]} != {j.d_z}")
-    try:
-        sol = np.linalg.solve(j.s_hh, np.hstack([(z_h - j.mu_h)[:, None], j.s_hr]))
-    except np.linalg.LinAlgError:
-        raise NumericalError("conditioning block is singular") from None
-    mean = j.mu_r + j.s_rh @ sol[:, 0]
-    cov = j.s_rr - j.s_rh @ sol[:, 1:]
-    return Gaussian(mean, 0.5 * (cov + cov.T))
-
-
-def sample(g: Gaussian, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` samples as mean + L @ eps (deterministic per rng state)."""
-    chol = cholesky_or_raise(g.cov)
-    eps = rng.standard_normal((count, g.dim))
-    return g.mean + eps @ chol.T

@@ -27,16 +27,7 @@ import numpy as np
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import (
-    EIGEN,
-    FLAT,
-    BlockedGaussian,
-    Gaussian,
-    RegSchedule,
-    cholesky_or_raise,
-    log_pdf,
-    regularize_spd,
-)
+from comotion.gauss import EIGEN, Gaussian, cholesky_or_raise, log_pdf, regularize_spd
 
 log = logging.getLogger(__name__)
 
@@ -86,9 +77,6 @@ class Hmm:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def component(self, i: int) -> BlockedGaussian:
-        return BlockedGaussian(Gaussian(self.means[i], self.covs[i]), self.d_z)
 
     def marginal(self, i: int, block: str) -> Gaussian:
         lo, hi = self._block_range(block)
@@ -208,11 +196,6 @@ def forward_unobserved(hmm: Hmm, horizon: int) -> AlphaSequence:
     return AlphaSequence(np.exp(log_alpha[0]), None)
 
 
-def most_likely(alpha_t: np.ndarray) -> int:
-    """Argmax state; ties resolve to the lowest index."""
-    return int(np.argmax(alpha_t))
-
-
 # ---------------------------------------------------------------------------
 # initialization and EM
 # ---------------------------------------------------------------------------
@@ -231,11 +214,11 @@ def _segment_slices(sequences: list[np.ndarray], n_states: int) -> list[np.ndarr
     return [np.concatenate(p, axis=0) for p in pools]
 
 
-def _fit_gaussian(points: np.ndarray, reg: RegSchedule = FLAT) -> tuple[np.ndarray, np.ndarray]:
+def _fit_gaussian(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = points.mean(axis=0)
     diff = points - mean
     cov = diff.T @ diff / points.shape[0]
-    return mean, regularize_spd(cov, reg)
+    return mean, regularize_spd(cov)
 
 
 def init_segments(sequences: list[np.ndarray], n_states: int, d_z: int | None = None) -> Hmm:
@@ -295,7 +278,6 @@ def em_fit(
     sequences: list[np.ndarray],
     max_iters: int = 20,
     tol: float = 1e-4,
-    cov_reg: RegSchedule = FLAT,
 ) -> tuple[Hmm, np.ndarray]:
     """Baum-Welch on a private copy of ``init``.
 
@@ -350,7 +332,7 @@ def em_fit(
                 continue
             cov = second_acc[i] / mass[i] - np.outer(means[i], means[i])
             hmm.means[i] = means[i]
-            hmm.covs[i] = regularize_spd(cov, cov_reg)
+            hmm.covs[i] = regularize_spd(cov)
         if np.any(starving):
             _reseed_starving(hmm, sequences, np.flatnonzero(starving))
     return hmm, np.asarray(trace)

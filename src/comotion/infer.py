@@ -23,7 +23,6 @@ from comotion.hmm import (
     forward,
     forward_step,
     gmr_condition,
-    most_likely,
 )
 from comotion.kin import KinematicChain, ik_with_prior
 from comotion.data import window_features
@@ -98,11 +97,9 @@ def reactive_step(
 class Rollout:
     q: np.ndarray  # (n, n_r) commands
     alpha: np.ndarray  # (n, N)
-    gate: np.ndarray  # (n,) bool
-    stiffness_low: np.ndarray  # (n,) bool
+    stiffness_low: np.ndarray  # (n,) bool; the latched contact gate
     ik_used: np.ndarray  # (n,) bool
     latent_mean: np.ndarray  # (n, d_z) conditional latent means
-    states: np.ndarray  # (n,) most likely state indices
 
 
 def rollout(
@@ -133,34 +130,10 @@ def rollout(
     return Rollout(
         q=np.asarray([o.q_cmd for o in outs]),
         alpha=np.asarray([o.alpha_t for o in outs]),
-        gate=np.asarray([o.stiffness_low for o in outs], dtype=bool),
         stiffness_low=np.asarray([o.stiffness_low for o in outs], dtype=bool),
         ik_used=np.asarray([o.ik_used for o in outs], dtype=bool),
         latent_mean=np.asarray([o.latent_r.mean for o in outs]),
-        states=np.asarray([most_likely(o.alpha_t) for o in outs]),
     )
-
-
-def smooth(trajectory: np.ndarray, weights) -> np.ndarray:
-    """Causal weighted moving average; newest sample takes the last weight.
-
-    The startup transient renormalizes over the available prefix.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.size == 0:
-        raise ValueError("need at least one filter weight")
-    if np.any(weights < 0):
-        raise ValueError("filter weights must be non-negative")
-    weights = weights / weights.sum()
-    traj = np.asarray(trajectory, dtype=np.float64)
-    flat = traj[:, None] if traj.ndim == 1 else traj
-    m = weights.shape[0]
-    out = np.empty_like(flat)
-    for t in range(flat.shape[0]):
-        lo = max(0, t - m + 1)
-        w = weights[-(t - lo + 1) :]
-        out[t] = (w[:, None] * flat[lo : t + 1]).sum(axis=0) / w.sum()
-    return out[:, 0] if traj.ndim == 1 else out
 
 
 def conditional_predictions(

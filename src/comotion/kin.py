@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from comotion.errors import ConfigError
+
 log = logging.getLogger(__name__)
 
 
@@ -132,12 +134,6 @@ def fk_pose(chain: KinematicChain, q) -> np.ndarray:
 def fk(chain: KinematicChain, q) -> np.ndarray:
     """End-effector position in meters."""
     return fk_pose(chain, q)[:3, 3]
-
-
-def fk_points(chain: KinematicChain, q) -> np.ndarray:
-    """Origins of every joint frame plus the end effector, shape (n+1, 3)."""
-    q = chain.clamp(np.asarray(q, dtype=np.float64), warn=True)
-    return _frames(chain, q[None])[0][0]
 
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
@@ -429,21 +425,16 @@ def chain_from_dict(d: dict) -> KinematicChain:
 
 
 def load_chain(path: str | Path) -> KinematicChain:
-    with open(path) as f:
-        return chain_from_dict(json.load(f))
+    """Read a chain file; one that is missing or malformed is a ConfigError
+    naming the file."""
+    try:
+        with open(path) as f:
+            return chain_from_dict(json.load(f))
+    except (AttributeError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"chain file {path}: {exc!r}") from None
 
 
 def default_arm_chain() -> KinematicChain:
     """The packaged 4-DoF arm (shoulder pitch/yaw/roll + elbow)."""
     text = resources.files("comotion").joinpath("chains/arm_4dof.json").read_text()
     return chain_from_dict(json.loads(text))
-
-
-def planar_chain(lengths=(1.0, 1.0)) -> KinematicChain:
-    """N-link planar chain in the xy plane, links along x, z rotation axes."""
-    joints = []
-    offset = np.eye(4)
-    for length in lengths:
-        joints.append(Joint(offset, np.array([0.0, 0.0, 1.0]), -np.pi, np.pi))
-        offset = translation([length, 0.0, 0.0])
-    return KinematicChain(tuple(joints), np.eye(4), offset)

@@ -1,4 +1,4 @@
-"""Minimal feed-forward machinery: MLPs, manual backprop, Adam, grad checks.
+"""Minimal feed-forward machinery: MLPs, manual backprop, Adam.
 
 The networks here are small (two hidden layers around 40 and 20 units), so
 the forward/backward passes are hand-rolled on top of numpy GEMMs. All
@@ -9,7 +9,7 @@ ill-conditioned for single precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,13 +66,6 @@ class Mlp:
             out.append(w)
             out.append(b)
         return out
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.negative_slope,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -204,29 +197,3 @@ def adam_step(
         v_hat = state.v[i] / c2
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state
-
-
-def grad_check(loss, params: list[np.ndarray], h: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``loss(params)`` must return ``(value, grads)`` with grads ordered like
-    ``params`` and must be deterministic (freeze any sampling noise). The
-    relative scale is floored at 1e-3 so near-zero gradients compare
-    absolutely.
-    """
-    _, analytic = loss(params)
-    worst = 0.0
-    for i, p in enumerate(params):
-        flat = p.reshape(-1)
-        a_flat = analytic[i].reshape(-1)
-        for j in range(flat.shape[0]):
-            orig = flat[j]
-            flat[j] = orig + h
-            f_plus, _ = loss(params)
-            flat[j] = orig - h
-            f_minus, _ = loss(params)
-            flat[j] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(a_flat[j]), abs(numeric), 1e-3)
-            worst = max(worst, abs(a_flat[j] - numeric) / denom)
-    return worst

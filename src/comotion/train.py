@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,8 +81,12 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "beta", "lr", "mc_samples", "n_states", "d_z",
                      "hmm_refit_every", "window"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"config field {name} must be positive")
+            value = getattr(self, name)
+            kind = numbers.Real if name in ("beta", "lr") else numbers.Integral
+            if not isinstance(value, kind) or value <= 0:
+                raise ConfigError(
+                    f"config field {name} must be a positive {kind.__name__.lower()}, got {value!r}"
+                )
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -96,10 +101,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if "variant" in known:
-            known["variant"] = Variant(known["variant"])
-        return cls(**known)
+        """Config of a ``train`` entry; an unknown key is a ConfigError."""
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigError(f"config field train: unknown keys {unknown}")
+        return cls(**d)
 
 
 @dataclass
@@ -213,7 +219,8 @@ def _refit_hmms(v_h, v_r, fit, config, rng) -> dict[str, tuple[Hmm, None]]:
 
 def _prior_packs(hmms) -> dict[str, tuple[PriorPack, PriorPack]]:
     return {
-        label: (PriorPack.from_hmm(hmm, "h"), PriorPack.from_hmm(hmm, "r"))
+        label: (PriorPack.from_moments(*hmm.block_params("h")),
+                PriorPack.from_moments(*hmm.block_params("r")))
         for label, (hmm, _) in hmms.items()
     }
 
@@ -246,6 +253,12 @@ def train_hhi(dataset: Dataset, config: TrainConfig, seed: int | None = None) ->
     if not feats:
         raise ConfigError("no training trajectories")
     fit, val = _fit_val_split(feats, config.val_fraction, seed)
+    shortest = min(f.x_h.shape[0] for f in fit)
+    if config.n_states > shortest:
+        raise ConfigError(
+            f"config field n_states: {config.n_states} states, but the shortest "
+            f"training sequence has {shortest} windows"
+        )
     in_h = fit[0].x_h.shape[1]
     in_r = fit[0].x_r.shape[1]
     v_h = Vae.create(in_h, config.d_z, config.hidden, rng)

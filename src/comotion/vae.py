@@ -7,7 +7,7 @@ statistics (fitted by training on the fit split): ``encode_batch``
 standardizes its input, ``decode`` returns raw units, and the objectives
 score reconstruction in standardized units, so every feature weighs the
 same whatever its raw scale. Without statistics both maps are the
-identity. Three objectives are assembled here:
+identity. Two objectives are assembled here:
 
 * the plain two-agent objective (reconstruction of both agents plus the
   per-timestep KL against the sequence model's marginal priors),
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from comotion.errors import NumericalError
-from comotion.gauss import EIGEN, Gaussian, regularize_spd
+from comotion.errors import ConfigError
+from comotion.gauss import EIGEN, cholesky_or_raise, regularize_spd
 from comotion.hmm import Hmm, conditional_moments
 from comotion.net import Mlp, mlp_backward, mlp_forward
 
@@ -46,14 +46,17 @@ class Variant:
 
     v1 has no conditional term. v2.x condition posterior samples; v3.x
     condition the posterior mean. The ".2" members feed the posterior
-    covariance into the conditioning gain, the ".1" members do not.
+    covariance into the conditioning gain, the ".1" members do not. An
+    unknown tag is a ConfigError.
     """
 
     tag: str = "v1"
 
     def __post_init__(self):
         if self.tag not in VARIANT_TAGS:
-            raise ValueError(f"unknown variant {self.tag!r}; expected one of {VARIANT_TAGS}")
+            raise ConfigError(
+                f"config field variant: unknown tag {self.tag!r}; expected one of {VARIANT_TAGS}"
+            )
 
     @property
     def conditional(self) -> bool:
@@ -116,13 +119,6 @@ class Vae:
     def unstandardize(self, x: np.ndarray) -> np.ndarray:
         return x if self.x_mean is None else x * self.x_std + self.x_mean
 
-    def copy(self) -> "Vae":
-        # the statistics are only ever rebound, never written in place
-        return Vae(
-            self.encoder.copy(), self.decoder.copy(), self.d_z, self.input_dim,
-            self.x_mean, self.x_std,
-        )
-
     def to_dict(self) -> dict:
         d = {
             "d_z": self.d_z,
@@ -165,15 +161,6 @@ def encode_batch(v: Vae, x: np.ndarray):
     return mu, var, dvar, tape
 
 
-def encode(v: Vae, x) -> Gaussian:
-    """Diagonal-Gaussian posterior for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != v.input_dim:
-        raise ValueError(f"expected a vector of width {v.input_dim}")
-    mu, var, _, _ = encode_batch(v, x[None, :])
-    return Gaussian.diagonal(mu[0], var[0])
-
-
 def decode(v: Vae, z) -> np.ndarray:
     """Deterministic decoder mean, in raw units, for a latent vector or
     (B, d_z) batch."""
@@ -191,30 +178,12 @@ class PriorPack:
     logdets: np.ndarray  # (N,)
 
     @classmethod
-    def from_hmm(cls, hmm: Hmm, block: str) -> "PriorPack":
-        means, covs = hmm.block_params(block)
-        N, d = means.shape
-        precs = np.empty((N, d, d))
-        logdets = np.empty(N)
-        for i in range(N):
-            chol = np.linalg.cholesky(covs[i])
-            precs[i] = np.linalg.inv(covs[i])
-            logdets[i] = 2.0 * np.log(np.diag(chol)).sum()
-        return cls(means, precs, logdets)
-
-    @classmethod
-    def from_gaussians(cls, priors: list[Gaussian]) -> "PriorPack":
-        means = np.stack([g.mean for g in priors])
-        precs = np.empty((len(priors),) + priors[0].cov.shape)
-        logdets = np.empty(len(priors))
-        for i, g in enumerate(priors):
-            try:
-                chol = np.linalg.cholesky(g.cov)
-            except np.linalg.LinAlgError:
-                raise NumericalError("prior covariance not positive definite") from None
-            precs[i] = np.linalg.inv(g.cov)
-            logdets[i] = 2.0 * np.log(np.diag(chol)).sum()
-        return cls(means, precs, logdets)
+    def from_moments(cls, means: np.ndarray, covs: np.ndarray) -> "PriorPack":
+        """Pack (N, d) prior means and (N, d, d) covariances; a covariance
+        that is not positive definite is a NumericalError."""
+        chols = cholesky_or_raise(covs)
+        logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        return cls(means, np.linalg.inv(covs), logdets)
 
 
 def _kl_terms(mu, var, pack: PriorPack, idx):
@@ -248,10 +217,6 @@ def _recon_stream(v: Vae, z_flat: np.ndarray, x_rep: np.ndarray, scale: float):
     out_grad = (2.0 * scale / v.input_dim) * err
     grads, dz = mlp_backward(v.decoder, tape, out_grad)
     return loss, grads, dz
-
-
-def _zero_grads(m: Mlp) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in m.params]
 
 
 def _add(acc: list[np.ndarray], new: list[np.ndarray]) -> None:
@@ -426,82 +391,3 @@ def hri_loss(
     loss = recon_r + beta * kl_r + cond
     parts = {"recon_h": 0.0, "recon_r": recon_r, "kl": kl_r, "cond": cond}
     return loss, grads, parts
-
-
-# ---------------------------------------------------------------------------
-# single-timestep wrappers
-# ---------------------------------------------------------------------------
-
-
-def elbo_hhi(
-    v_h: Vae,
-    v_r: Vae,
-    x_h,
-    x_r,
-    prior_h: Gaussian,
-    prior_r: Gaussian,
-    beta: float = 5e-3,
-    k: int = 10,
-    rng: np.random.Generator | None = None,
-    eps_h: np.ndarray | None = None,
-    eps_r: np.ndarray | None = None,
-):
-    """One-timestep two-agent objective; draws noise from ``rng`` if needed.
-
-    Returns (loss, grads_h, grads_r). With shared networks pass the same
-    object twice and sum the two gradient lists.
-    """
-    x_h = np.asarray(x_h, dtype=np.float64)[None, :]
-    x_r = np.asarray(x_r, dtype=np.float64)[None, :]
-    if eps_h is None:
-        eps_h = rng.standard_normal((1, k, v_h.d_z))
-    if eps_r is None:
-        eps_r = rng.standard_normal((1, k, v_r.d_z))
-    pack_h = PriorPack.from_gaussians([prior_h])
-    pack_r = PriorPack.from_gaussians([prior_r])
-    idx = np.zeros(1, dtype=np.intp)
-    loss, grads_h, grads_r, _ = hhi_loss(
-        v_h, v_r, x_h, x_r, pack_h, pack_r, idx, beta, eps_h, eps_r
-    )
-    return loss, grads_h, grads_r
-
-
-def elbo_hri(
-    v_r: Vae,
-    x_h,
-    x_r,
-    hmm: Hmm,
-    posterior_h: Gaussian,
-    alpha_t,
-    prior_r: Gaussian,
-    beta: float = 5e-3,
-    k: int = 10,
-    variant: Variant = Variant("v1"),
-    rng: np.random.Generator | None = None,
-    eps_r: np.ndarray | None = None,
-    eps_post: np.ndarray | None = None,
-    eps_cond: np.ndarray | None = None,
-):
-    """One-timestep reactive-training objective. Returns (loss, grads_r)."""
-    x_r = np.asarray(x_r, dtype=np.float64)[None, :]
-    if eps_r is None:
-        eps_r = rng.standard_normal((1, k, v_r.d_z))
-    if eps_post is None:
-        eps_post = rng.standard_normal((1, k, v_r.d_z))
-    if eps_cond is None:
-        eps_cond = rng.standard_normal((1, k, v_r.d_z))
-    pack_r = PriorPack.from_gaussians([prior_r])
-    idx = np.zeros(1, dtype=np.intp)
-    mu_h = posterior_h.mean[None, :]
-    var_h = np.diag(posterior_h.cov)[None, :]
-    cond_z = conditional_latents(
-        hmm,
-        mu_h,
-        var_h,
-        np.asarray(alpha_t, dtype=np.float64)[None, :],
-        variant,
-        eps_post,
-        eps_cond,
-    )
-    loss, grads, _ = hri_loss(v_r, x_r, pack_r, idx, beta, eps_r, cond_z)
-    return loss, grads

@@ -67,7 +67,7 @@ def test_train_and_rollout_pipeline(tiny_config, tmp_path):
     lines = roll_csv.read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "t"
-    assert "stiffness_low" in header and "gate" in header
+    assert "stiffness_low" in header and "gate" not in header
     assert sum(1 for h in header if h.startswith("q_")) == 4
     assert sum(1 for h in header if h.startswith("alpha_")) == 3
     assert len(lines) == 1 + (50 - 5 + 1)
@@ -125,3 +125,64 @@ def test_unrecognized_dataset_entry_is_exit_2(tmp_path, capsys):
         assert main(["--config", str(cfg), "--out", str(tmp_path / command), command]) == 2
         err = capsys.readouterr().err
         assert "unrecognized dataset entry" in err and "Traceback" not in err
+
+
+def _small_config(**changes):
+    config = {
+        "dataset": {
+            "synth": {"interactions": [{"name": "greet", "n_traj": 4, "length": 30, "noise": 0.05}]},
+            "seed": 0,
+        },
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+    }
+    for key, value in changes.items():
+        if key == "interaction":
+            config["dataset"]["synth"]["interactions"][0].update(value)
+        elif key == "train":
+            config["train"].update(value)
+        else:
+            config[key] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "changes, args, field",
+    [
+        ({}, ["--variant", "bogus"], "variant"),
+        ({"train": {"variant": "bogus"}}, [], "variant"),
+        ({"split_fraction": 1.5}, [], "split_fraction"),
+        ({"interaction": {"n_trajs": 4}}, [], "n_trajs"),
+        ({"train": {"epochs": "1"}}, [], "epochs"),
+        ({"train": {"epochs": 1.5}}, [], "epochs"),
+        ({"train": {"n_states": 60}}, [], "n_states"),  # 26 windows per sequence
+        ({"train": {"epoch": 1}}, [], "'epoch'"),
+    ],
+    ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
+         "epochs-float", "n-states-over-windows", "train-key"],
+)
+def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, args, field):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_small_config(**changes)))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "train-hhi", *args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{missing}"], "missing.json"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{no_limits}"], "no_limits.json"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--prior", "0", "0"], "--prior"),
+        (["inspect-hmm", "--model", "{missing}", "--horizon", "0"], "--horizon"),
+    ],
+    ids=["chain-missing", "chain-without-limits", "prior-width", "horizon-zero"],
+)
+def test_bad_cli_argument_is_exit_2(tmp_path, capsys, argv, named):
+    no_limits = tmp_path / "no_limits.json"
+    no_limits.write_text(json.dumps({"joints": [{"axis": [0.0, 0.0, 1.0]}]}))
+    paths = {"missing": tmp_path / "missing.json", "no_limits": no_limits}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err

@@ -6,17 +6,14 @@ from comotion.data import (
     SynthInteraction,
     SynthSpec,
     TrajectoryPair,
-    downsample,
     load_dataset,
     pair_features,
-    retarget_skeleton,
     save_dataset,
     split,
     synth_generate,
     window_features,
 )
 from comotion.errors import DataError
-from comotion.kin import default_arm_chain, fk, fk_points
 
 
 def test_window_width_positions_90():
@@ -56,86 +53,6 @@ def test_window_too_short():
     with pytest.raises(DataError, match="frames"):
         window_features(np.zeros((4, 4)), 5, "joints")
     window_features(np.zeros((5, 4)), 5, "joints")  # joints allow T == w
-
-
-def test_downsample_30_to_20():
-    frames = np.arange(9.0)[:, None] * np.ones((1, 9))
-    pair = TrajectoryPair("x", frames, np.zeros((9, 4)), rate=30.0)
-    out = downsample(pair, 20.0)
-    assert out.length == int(np.ceil(2 * 9 / 3))
-    np.testing.assert_array_equal(out.h_frames[:, 0], [0, 1, 3, 4, 6, 7])
-    assert out.rate == 20.0
-
-
-def test_downsample_identity():
-    rng = np.random.default_rng(3)
-    pair = TrajectoryPair("x", rng.standard_normal((10, 9)), np.zeros((10, 4)), rate=20.0)
-    assert downsample(pair, 20.0) is pair
-
-
-def test_downsample_60_to_20_every_third():
-    frames = np.arange(12.0)[:, None] * np.ones((1, 9))
-    pair = TrajectoryPair("x", frames, np.zeros((12, 4)), rate=60.0)
-    out = downsample(pair, 20.0)
-    np.testing.assert_array_equal(out.h_frames[:, 0], [0, 3, 6, 9])
-
-
-def test_downsample_rejects_bad_rates():
-    pair = TrajectoryPair("x", np.zeros((5, 9)), np.zeros((5, 4)), rate=20.0)
-    with pytest.raises(ValueError):
-        downsample(pair, 0.0)
-    with pytest.raises(ValueError):
-        downsample(pair, 30.0)
-
-
-# ---------------------------------------------------------------------------
-# retargeting
-# ---------------------------------------------------------------------------
-
-
-def arm_frames_from_angles(chain, q):
-    pts = fk_points(chain, q)
-    return np.concatenate([np.zeros(3), pts[3], pts[4]])[None, :]
-
-
-def test_retarget_arm_hanging_down():
-    # straight arm pointing down: elbow below shoulder, wrist below elbow
-    frames = np.array([[0, 0, 0, 0, 0, -0.181, 0, 0, -0.331]], dtype=float)
-    q = retarget_skeleton(frames)[0]
-    assert q[3] == pytest.approx(0.0, abs=1e-9)  # fully extended elbow
-    assert q[0] == pytest.approx(np.pi / 2, abs=1e-9)  # pitch matches -z direction
-
-
-def test_retarget_perpendicular_forearm():
-    # upper arm forward, forearm straight up
-    frames = np.array([[0, 0, 0, 0.181, 0, 0, 0.181, 0, 0.15]], dtype=float)
-    q = retarget_skeleton(frames)[0]
-    assert q[3] == pytest.approx(np.pi / 2, abs=1e-9)
-
-
-def test_retarget_round_trip_fk_oracle():
-    chain = default_arm_chain()
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        q = np.array(
-            [
-                rng.uniform(-1.3, 1.3),
-                rng.uniform(-1.3, 1.3),
-                rng.uniform(-1.5, 1.5),
-                rng.uniform(0.2, 2.4),
-            ]
-        )
-        frames = arm_frames_from_angles(chain, q)
-        wrist = frames[0, 6:9]
-        q_hat = retarget_skeleton(frames, chain)
-        wrist_hat = fk(chain, q_hat[0])
-        assert np.linalg.norm(wrist_hat - wrist) < 5e-3
-
-
-def test_retarget_zero_length_segment():
-    frames = np.zeros((1, 9))
-    with pytest.raises(DataError, match="zero-length"):
-        retarget_skeleton(frames)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
+from comotion.errors import ConfigError
 from comotion.evaluate import (
     config_fingerprint,
     mann_whitney_u,
     mse,
+    run_experiment,
 )
 
 
@@ -144,3 +146,11 @@ def test_fingerprint_depends_on_config_and_seed():
     f3 = config_fingerprint({**cfg, "train": {"epochs": 4}}, 0)
     assert f1 != f2 and f1 != f3
     assert f1 == config_fingerprint({"train": {"epochs": 3}, "dataset": "x"}, 0)
+
+
+@pytest.mark.parametrize("text", ['{"dataset": ', "[1, 2]", "\xff"], ids=["truncated", "list", "not-text"])
+def test_run_experiment_on_malformed_config_file_is_config_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError, match="bad.json"):
+        run_experiment(path, tmp_path / "out")

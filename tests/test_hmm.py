@@ -6,7 +6,7 @@ import pytest
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import EIGEN, Gaussian, condition_exact, log_pdf, regularize_spd
+from comotion.gauss import EIGEN, Gaussian, log_pdf, regularize_spd
 from comotion.hmm import (
     AlphaSequence,
     Hmm,
@@ -19,7 +19,6 @@ from comotion.hmm import (
     forward_unobserved,
     gmr_condition,
     init_segments,
-    most_likely,
     occupancy,
     state_log_liks,
 )
@@ -156,25 +155,6 @@ def test_alpha_sequence_loglik_requires_observations():
     seq = AlphaSequence(np.ones((2, 2)) * 0.5, None)
     with pytest.raises(ValueError):
         _ = seq.loglik
-
-
-# ---------------------------------------------------------------------------
-# most_likely
-# ---------------------------------------------------------------------------
-
-
-def test_most_likely_basic():
-    assert most_likely(np.array([0.1, 0.7, 0.2])) == 1
-
-
-def test_most_likely_tie_breaks_low():
-    assert most_likely(np.array([0.5, 0.5])) == 0
-
-
-def test_most_likely_scale_invariant():
-    rng = np.random.default_rng(7)
-    v = rng.uniform(0.1, 1.0, 6)
-    assert most_likely(v) == most_likely(10.0 * v)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +309,32 @@ def test_occupancy_collapse_names_timestep():
 # ---------------------------------------------------------------------------
 
 
+def blocks(hmm, i):
+    """Component i's block moments: mu_h, mu_r, s_hh, s_hr, s_rh, s_rr."""
+    d_z, m, c = hmm.d_z, hmm.means[i], hmm.covs[i]
+    return m[:d_z], m[d_z:], c[:d_z, :d_z], c[:d_z, d_z:], c[d_z:, :d_z], c[d_z:, d_z:]
+
+
+def condition_exact(hmm, i, z_h):
+    """Component i's distribution of the r block given an observed h block."""
+    mu_h, mu_r, s_hh, s_hr, s_rh, s_rr = blocks(hmm, i)
+    sol = np.linalg.solve(s_hh, np.hstack([(z_h - mu_h)[:, None], s_hr]))
+    cov = s_rr - s_rh @ sol[:, 1:]
+    return Gaussian(mu_r + s_rh @ sol[:, 0], 0.5 * (cov + cov.T))
+
+
+def test_condition_exact_matches_dense_solve_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h = random_hmm(rng, 1, 2)
+        mu_h, mu_r, s_hh, s_hr, s_rh, s_rr = blocks(h, 0)
+        z = rng.standard_normal(2)
+        inv = np.linalg.inv(s_hh)
+        g = condition_exact(h, 0, z)
+        np.testing.assert_allclose(g.mean, mu_r + s_rh @ inv @ (z - mu_h), atol=1e-10)
+        np.testing.assert_allclose(g.cov, s_rr - s_rh @ inv @ s_hr, atol=1e-10)
+
+
 def test_gmr_single_component_point_mode_equals_exact():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -336,7 +342,7 @@ def test_gmr_single_component_point_mode_equals_exact():
         z = rng.standard_normal(3)
         post = Gaussian(z, np.diag(rng.uniform(0.1, 1.0, 3)))
         got = gmr_condition(h, post, np.ones(1), "point")
-        want = condition_exact(h.component(0), z)
+        want = condition_exact(h, 0, z)
         np.testing.assert_allclose(got.mean, want.mean, atol=1e-9)
         np.testing.assert_allclose(got.cov, want.cov, atol=1e-9)
 
@@ -348,7 +354,7 @@ def test_gmr_concentrated_weight_selects_component():
     post = Gaussian(z, 0.2 * np.eye(2))
     alpha = np.array([0.0, 0.0, 1.0, 0.0])
     got = gmr_condition(h, post, alpha, "point")
-    want = condition_exact(h.component(2), z)
+    want = condition_exact(h, 2, z)
     np.testing.assert_allclose(got.mean, want.mean, atol=1e-9)
     np.testing.assert_allclose(got.cov, want.cov, atol=1e-9)
 
@@ -372,7 +378,7 @@ def test_gmr_mixture_mean_identity():
     got = gmr_condition(h, Gaussian(z, np.eye(2)), alpha, "point")
     expected = np.zeros(2)
     for i in range(5):
-        expected += alpha[i] * condition_exact(h.component(i), z).mean
+        expected += alpha[i] * condition_exact(h, i, z).mean
     np.testing.assert_allclose(got.mean, expected, atol=1e-12)
 
 
@@ -397,13 +403,13 @@ def gmr_reference_loop(hmm, point, post_var, alpha):
     for i in range(hmm.n_states):
         if alpha[i] == 0.0:
             continue
-        comp = hmm.component(i)
-        gain_base = comp.s_hh if post_var is None else comp.s_hh + np.diag(post_var)
-        rhs = np.hstack([(point - comp.mu_h)[:, None], comp.s_hr])
+        mu_h, mu_r, s_hh, s_hr, s_rh, s_rr = blocks(hmm, i)
+        gain_base = s_hh if post_var is None else s_hh + np.diag(post_var)
+        rhs = np.hstack([(point - mu_h)[:, None], s_hr])
         sol = np.linalg.solve(gain_base, rhs)
-        mu_i = comp.mu_r + comp.s_rh @ sol[:, 0]
+        mu_i = mu_r + s_rh @ sol[:, 0]
         mean += alpha[i] * mu_i
-        second += alpha[i] * (comp.s_rr - comp.s_rh @ sol[:, 1:] + np.outer(mu_i, mu_i))
+        second += alpha[i] * (s_rr - s_rh @ sol[:, 1:] + np.outer(mu_i, mu_i))
     return mean, second - np.outer(mean, mean)
 
 

@@ -10,7 +10,6 @@ from comotion.infer import (
     conditional_predictions,
     reactive_step,
     rollout,
-    smooth,
 )
 from comotion.kin import default_arm_chain, fk
 from comotion.train import ModelBundle, TrainConfig, _initial_hmm, train_hhi, train_hri
@@ -128,7 +127,7 @@ def test_rollout_gate_trace_is_monotone(dataset, trained):
         trained.config, trained.seed,
     )
     for pair in dataset.subset("test"):
-        trace = rollout(gated, "greet", pair.h_frames).gate.astype(int)
+        trace = rollout(gated, "greet", pair.h_frames).stiffness_low.astype(int)
         assert np.all(np.diff(trace) >= 0)
 
 
@@ -196,6 +195,38 @@ def test_conditional_predictions_shapes(dataset, trained):
 # ---------------------------------------------------------------------------
 # smoothing
 # ---------------------------------------------------------------------------
+
+
+def smooth(trajectory: np.ndarray, weights) -> np.ndarray:
+    """Causal weighted moving average; newest sample takes the last weight.
+
+    The startup transient renormalizes over the available prefix.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.size == 0:
+        raise ValueError("need at least one filter weight")
+    weights = weights / weights.sum()
+    traj = np.asarray(trajectory, dtype=np.float64)
+    flat = traj[:, None] if traj.ndim == 1 else traj
+    m = weights.shape[0]
+    out = np.empty_like(flat)
+    for t in range(flat.shape[0]):
+        lo = max(0, t - m + 1)
+        w = weights[-(t - lo + 1) :]
+        out[t] = (w[:, None] * flat[lo : t + 1]).sum(axis=0) / w.sum()
+    return out[:, 0] if traj.ndim == 1 else out
+
+
+@pytest.mark.parametrize("weights", [[0.1, 0.2, 0.3, 0.4], [1.0, 3.0], [2.0]])
+def test_rollout_online_smoothing_matches_offline_filter(dataset, trained, weights):
+    """``reactive_step``'s smoothing buffer filters the commands as the
+    offline causal filter does, startup transient included (gate off)."""
+    w = np.asarray(weights)
+    for pair in dataset.subset("test")[:2]:
+        raw = rollout(trained, "greet", pair.h_frames)
+        smoothed = rollout(trained, "greet", pair.h_frames, smooth_weights=w)
+        assert not raw.stiffness_low.any()
+        np.testing.assert_allclose(smoothed.q, smooth(raw.q, w), rtol=0, atol=1e-12)
 
 
 def test_smooth_single_weight_is_identity():

@@ -7,20 +7,29 @@ from comotion.kin import (
     KinematicChain,
     Joint,
     _cap_step,
+    _frames,
     _prior_score,
     _prior_search,
     default_arm_chain,
     fk,
-    fk_points,
     fk_pose,
     ik_baseline,
     ik_with_prior,
     jacobian,
     load_chain,
-    planar_chain,
     rotation_about,
     translation,
 )
+
+
+def planar_chain(lengths=(1.0, 1.0)) -> KinematicChain:
+    """N-link planar chain in the xy plane, links along x, z rotation axes."""
+    joints = []
+    offset = np.eye(4)
+    for length in lengths:
+        joints.append(Joint(offset, np.array([0.0, 0.0, 1.0]), -np.pi, np.pi))
+        offset = translation([length, 0.0, 0.0])
+    return KinematicChain(tuple(joints), np.eye(4), offset)
 
 
 def test_fk_two_link_extended():
@@ -254,7 +263,7 @@ def test_fk_points_match_matrix_product():
             t = t @ joint.offset @ rotation_about(joint.axis, qi)
             origins.append(t[:3, 3])
         expected = np.vstack(origins + [(t @ chain.tool)[:3, 3]])
-        np.testing.assert_allclose(fk_points(chain, q), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_frames(chain, q[None])[0][0], expected, rtol=0, atol=1e-12)
 
 
 def test_ik_prior_restart_batch_matches_separate_runs():
@@ -302,7 +311,7 @@ def test_jacobian_matches_analytic_planar():
 def test_fk_points_ends_at_fk():
     chain = default_arm_chain()
     q = np.array([0.2, -0.1, 0.4, 1.2])
-    pts = fk_points(chain, q)
+    pts = _frames(chain, q[None])[0][0]
     np.testing.assert_allclose(pts[-1], fk(chain, q), atol=1e-12)
     assert pts.shape == (5, 3)
 

@@ -1,0 +1,40 @@
+"""Every module-level function and class in src/comotion has a user.
+
+A user is a ``Name`` or ``Attribute`` node naming it in src/comotion/*.py or
+bench/*.py, or a string constant in bench/*.py, because the benchmark's
+tracer looks functions up by name. Tests do not count: a helper that only
+tests call belongs in the test file that uses it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(directory: str) -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / directory).glob("*.py"))}
+
+
+def test_every_module_level_definition_has_a_user():
+    src = _trees("src/comotion")
+    bench = _trees("bench")
+    names = set()
+    for tree in [*src.values(), *bench.values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    for tree in bench.values():
+        names.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in src.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names
+    ]
+    assert not unused, f"nothing in src/comotion or bench/ uses {unused}"

@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 
-from comotion.gauss import Gaussian, kl_divergence
+from comotion.errors import ConfigError, NumericalError
+from comotion.gauss import Gaussian
 from comotion.hmm import Hmm
-from comotion.net import AdamState, Mlp, adam_step, grad_check
+from comotion.net import AdamState, adam_step
+from comotion.train import TrainConfig
 from comotion.vae import (
     PriorPack,
     Vae,
     Variant,
+    _sampling_chol,
     conditional_latents,
     decode,
-    elbo_hhi,
-    elbo_hri,
-    encode,
     encode_batch,
     hhi_loss,
     hri_loss,
 )
+
+from test_gauss import kl_divergence
+from test_net import grad_check
 
 
 def make_hmm(rng, n_states, d_z, spread=1.0):
@@ -34,6 +37,10 @@ def make_hmm(rng, n_states, d_z, spread=1.0):
     )
 
 
+def unit_prior(d_z):
+    return PriorPack.from_moments(np.zeros((1, d_z)), np.eye(d_z)[None])
+
+
 def zero_vae(input_dim, d_z, hidden=(6,)):
     rng = np.random.default_rng(0)
     v = Vae.create(input_dim, d_z, hidden, rng)
@@ -49,17 +56,16 @@ def zero_vae(input_dim, d_z, hidden=(6,)):
 
 def test_encode_zero_network_is_standard_normal():
     v = zero_vae(4, 2)
-    g = encode(v, np.ones(4))
-    np.testing.assert_array_equal(g.mean, np.zeros(2))
-    np.testing.assert_array_equal(g.cov, np.eye(2))
+    mu, var, _, _ = encode_batch(v, np.ones((1, 4)))
+    np.testing.assert_array_equal(mu, np.zeros((1, 2)))
+    np.testing.assert_array_equal(var, np.ones((1, 2)))
 
 
 def test_encode_variance_strictly_positive():
     rng = np.random.default_rng(1)
     v = Vae.create(6, 3, (8,), rng)
-    for _ in range(20):
-        g = encode(v, 10.0 * rng.standard_normal(6))
-        assert np.all(np.diag(g.cov) > 0)
+    _, var, _, _ = encode_batch(v, 10.0 * rng.standard_normal((20, 6)))
+    assert np.all(var > 0)
 
 
 def test_encode_identity_weights_reproduce_input():
@@ -67,15 +73,15 @@ def test_encode_identity_weights_reproduce_input():
     v = zero_vae(d, d, hidden=())
     v.encoder.weights[0][:d, :d] = np.eye(d)
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(d)
-    g = encode(v, x)
-    np.testing.assert_allclose(g.mean, x, atol=1e-9)
+    x = rng.standard_normal((1, d))
+    mu, _, _, _ = encode_batch(v, x)
+    np.testing.assert_allclose(mu, x, atol=1e-9)
 
 
 def test_encode_shape_check():
     v = zero_vae(4, 2)
-    with pytest.raises(ValueError):
-        encode(v, np.zeros(5))
+    with pytest.raises(ValueError, match="width"):
+        encode_batch(v, np.zeros((1, 5)))
 
 
 def test_decode_zero_network():
@@ -99,7 +105,7 @@ def test_trained_toy_model_beats_untrained():
     v = Vae.create(D, d_z, (16,), rng)
     base = float(np.mean((decode(v, encode_batch(v, xs)[0]) - xs) ** 2))
     opt = AdamState.for_params(v.params, lr=5e-3)
-    prior = PriorPack.from_gaussians([Gaussian(np.zeros(d_z), np.eye(d_z))])
+    prior = unit_prior(d_z)
     idx = np.zeros(xs.shape[0], dtype=np.intp)
     for step in range(400):
         eps = rng.standard_normal((xs.shape[0], 3, d_z))
@@ -127,17 +133,18 @@ def test_elbo_hhi_zero_beta_perfect_autoencoder():
     d = 3
     v = near_perfect_autoencoder(d)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal(d)
-    prior = Gaussian(np.zeros(d), np.eye(d))
-    loss, _, _ = elbo_hhi(v, v, x, x, prior, prior, beta=0.0, k=10, rng=np.random.default_rng(0))
+    x = rng.standard_normal((1, d))
+    prior = unit_prior(d)
+    eps = np.random.default_rng(0).standard_normal((1, 10, d))
+    idx = np.zeros(1, dtype=np.intp)
+    loss, _, _, _ = hhi_loss(v, v, x, x, prior, prior, idx, 0.0, eps, eps)
     assert abs(loss) < 1e-6
 
 
 def test_elbo_hhi_default_mc_samples_is_ten():
-    import inspect
-
-    assert inspect.signature(elbo_hhi).parameters["k"].default == 10
-    assert inspect.signature(elbo_hri).parameters["k"].default == 10
+    """Both objectives draw ten Monte Carlo samples per window unless the
+    training config says otherwise."""
+    assert TrainConfig().mc_samples == 10
 
 
 def test_elbo_hhi_gradients_pass_check():
@@ -145,15 +152,16 @@ def test_elbo_hhi_gradients_pass_check():
     d_z, Dh, Dr = 2, 5, 4
     vh = Vae.create(Dh, d_z, (6,), rng)
     vr = Vae.create(Dr, d_z, (6,), rng)
-    x_h = rng.standard_normal(Dh)
-    x_r = rng.standard_normal(Dr)
-    ph = Gaussian(rng.standard_normal(d_z), np.eye(d_z) * 0.8)
-    pr = Gaussian(rng.standard_normal(d_z), np.eye(d_z) * 1.3)
+    x_h = rng.standard_normal((1, Dh))
+    x_r = rng.standard_normal((1, Dr))
+    ph = PriorPack.from_moments(rng.standard_normal((1, d_z)), 0.8 * np.eye(d_z)[None])
+    pr = PriorPack.from_moments(rng.standard_normal((1, d_z)), 1.3 * np.eye(d_z)[None])
+    idx = np.zeros(1, dtype=np.intp)
     eps_h = rng.standard_normal((1, 4, d_z))
     eps_r = rng.standard_normal((1, 4, d_z))
 
     def loss(params):
-        value, gh, gr = elbo_hhi(vh, vr, x_h, x_r, ph, pr, 5e-3, 4, eps_h=eps_h, eps_r=eps_r)
+        value, gh, gr, _ = hhi_loss(vh, vr, x_h, x_r, ph, pr, idx, 5e-3, eps_h, eps_r)
         return value, gh + gr
 
     assert grad_check(loss, vh.params + vr.params) < 1e-4
@@ -164,7 +172,7 @@ def test_hhi_weight_sharing_same_object():
     d = 4
     v = Vae.create(d, 2, (6,), rng)
     x = rng.standard_normal((3, d))
-    prior = PriorPack.from_gaussians([Gaussian(np.zeros(2), np.eye(2))])
+    prior = unit_prior(2)
     idx = np.zeros(3, dtype=np.intp)
     eps = rng.standard_normal((3, 2, 2))
     _, gh, gr, _ = hhi_loss(v, v, x, x, prior, prior, idx, 1e-2, eps, eps)
@@ -187,7 +195,7 @@ def hri_setup():
     mu_h = rng.standard_normal((B, d_z))
     var_h = rng.uniform(0.2, 1.0, (B, d_z))
     alphas = rng.dirichlet(np.ones(N), size=B)
-    pack_r = PriorPack.from_hmm(hm, "r")
+    pack_r = PriorPack.from_moments(*hm.block_params("r"))
     idx = np.array([0, 1, 2])
     eps = {
         "r": rng.standard_normal((B, k, d_z)),
@@ -271,8 +279,33 @@ def test_variant_tags_and_flags():
     assert Variant("v2.2").from_samples and Variant("v2.2").uses_cov
     assert not Variant("v3.1").from_samples and not Variant("v3.1").uses_cov
     assert Variant("v3.2").uses_cov and Variant("v3.2").conditioning_mode == "with_cov"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="variant"):
         Variant("v4")
+
+
+def test_prior_pack_matches_per_state_factorization():
+    rng = np.random.default_rng(13)
+    hm = make_hmm(rng, 4, 3)
+    means, covs = hm.block_params("r")
+    pack = PriorPack.from_moments(means, covs)
+    for i in range(4):
+        chol = np.linalg.cholesky(covs[i])
+        np.testing.assert_array_equal(pack.precs[i], np.linalg.inv(covs[i]))
+        assert pack.logdets[i] == 2.0 * np.log(np.diag(chol)).sum()
+    np.testing.assert_array_equal(pack.means, means)
+
+
+def test_prior_pack_rejects_non_spd_prior():
+    covs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(NumericalError, match="positive definite"):
+        PriorPack.from_moments(np.zeros((2, 2)), covs)
+
+
+def test_sampling_chol_graded_bump_values():
+    chol = _sampling_chol(np.zeros((1, 5, 5)))[0]
+    np.testing.assert_allclose(
+        np.diag(chol @ chol.T), [9.1e-5, 9.325e-5, 9.55e-5, 9.775e-5, 1e-4], rtol=0, atol=1e-18
+    )
 
 
 def test_vae_json_round_trip():
@@ -327,7 +360,7 @@ def test_objectives_score_reconstruction_in_standardized_units():
     vh, vr = stats_vae(rng, 5, d_z), stats_vae(rng, 4, d_z)
     x_h = 3.0 + 2.0 * rng.standard_normal((B, 5))
     x_r = 3.0 + 2.0 * rng.standard_normal((B, 4))
-    pack = PriorPack.from_gaussians([Gaussian(np.zeros(d_z), np.eye(d_z))])
+    pack = unit_prior(d_z)
     idx = np.zeros(B, dtype=np.intp)
     eps_h = rng.standard_normal((B, k, d_z))
     eps_r = rng.standard_normal((B, k, d_z))
