@@ -25,7 +25,7 @@ from comotion.evaluate import (
 )
 from comotion.hmm import forward_unobserved
 from comotion.infer import rollout
-from comotion.kin import default_arm_chain, fk, ik_baseline, ik_with_prior, load_chain
+from comotion.kin import default_arm_chain, fk, ik_with_prior, load_chain
 from comotion.train import (
     TrainConfig,
     fit_transition_states,
@@ -152,7 +152,7 @@ def cmd_rollout(args) -> int:
 def cmd_ik_demo(args) -> int:
     chain = load_chain(args.chain) if args.chain else default_arm_chain()
     target = np.asarray(args.target, dtype=np.float64)
-    base = ik_baseline(chain, target)
+    base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
     print(f"baseline IK: q={np.round(base.q, 4).tolist()} residual={base.residual:.2e} "
           f"iters={base.iterations} converged={base.converged}")
     mu_q = np.asarray(args.prior, dtype=np.float64) if args.prior else np.zeros(chain.n_joints)
@@ -248,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--smooth", action="store_true")
     sp.add_argument("--latents", help="optional JSON latent dump path")
 
-    sp = sub.add_parser("ik-demo", help="solve IK for a target position")
+    sp = sub.add_parser(
+        "ik-demo",
+        help="solve IK for a target position; the baseline is prior IK with lambda_q = 0",
+    )
     sp.add_argument("--target", type=float, nargs=3, required=True)
     sp.add_argument("--prior", type=float, nargs="*")
     sp.add_argument("--chain")

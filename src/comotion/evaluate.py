@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -177,17 +178,30 @@ def load_experiment_dataset(config: dict) -> Dataset:
         ds = load_dataset(src)
     elif isinstance(src, dict) and "synth" in src:
         spec = SynthSpec.from_dict(src["synth"])
-        ds = synth_generate(spec, np.random.default_rng(int(src.get("seed", 0))))
+        ds = synth_generate(spec, np.random.default_rng(_int_field(src, "seed", "dataset.seed")))
     else:
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
     fraction = config.get("split_fraction", 0.8)
     if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
         raise ConfigError(f"config field split_fraction must be in (0, 1), got {fraction!r}")
-    return split(ds, float(fraction), int(config.get("split_seed", 0)))
+    return split(ds, float(fraction), _int_field(config, "split_seed", "split_seed"))
 
 
-def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> list[tuple[str, int, float, float]]:
-    """Conditional test MSE per test trajectory: (label, index, window, last)."""
+def _int_field(entry: dict, key: str, name: str) -> int:
+    value = entry.get(key, 0)
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"config field {name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def evaluate_bundle(
+    bundle: ModelBundle, dataset: Dataset, dump_dir: Path | None = None
+) -> list[tuple[str, int, float, float]]:
+    """Conditional test MSE per test trajectory: (label, index, window, last).
+
+    With ``dump_dir``, each test trajectory's state activations (CSV) and
+    predicted windows (.npy) are written there too, for plotting.
+    """
     out = []
     variant = bundle.config.variant
     w = bundle.config.window
@@ -195,7 +209,7 @@ def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> list[tuple[str, in
         if assign != "test":
             continue
         x_h, x_r = pair_features(pair, w)
-        pred, _ = conditional_predictions(
+        pred, alpha = conditional_predictions(
             bundle.human_vae, bundle.robot_vae, bundle.hmms[pair.label][0], x_h, variant
         )
         n_r = x_r.shape[1] // w
@@ -207,29 +221,13 @@ def evaluate_bundle(bundle: ModelBundle, dataset: Dataset) -> list[tuple[str, in
                 mse(pred[:, -n_r:], x_r[:, -n_r:]),
             )
         )
+        if dump_dir is not None:
+            dump_dir.mkdir(parents=True, exist_ok=True)
+            lines = ["t," + ",".join(f"alpha_{j + 1}" for j in range(alpha.shape[1]))]
+            lines += [f"{t}," + ",".join(repr(float(v)) for v in a) for t, a in enumerate(alpha)]
+            (dump_dir / f"traj{i:03d}_alpha.csv").write_text("\n".join(lines) + "\n")
+            np.save(dump_dir / f"traj{i:03d}_pred.npy", pred)
     return out
-
-
-def _dump_rollout_panels(bundle, dataset, out_dir: Path, variant: str, seed: int) -> None:
-    """Latent and state-activation traces per test trajectory, for plotting."""
-    w = bundle.config.window
-    for i, (pair, assign) in enumerate(zip(dataset.pairs, dataset.assignment)):
-        if assign != "test":
-            continue
-        x_h, _ = pair_features(pair, w)
-        hmm = bundle.hmms[pair.label][0]
-        pred, alpha = conditional_predictions(
-            bundle.human_vae, bundle.robot_vae, hmm, x_h, bundle.config.variant
-        )
-        d = out_dir / "dumps" / variant / f"seed{seed}"
-        d.mkdir(parents=True, exist_ok=True)
-        n = alpha.shape[1]
-        header = "t," + ",".join(f"alpha_{j + 1}" for j in range(n))
-        rows = [
-            f"{t}," + ",".join(repr(float(v)) for v in alpha[t]) for t in range(len(alpha))
-        ]
-        (d / f"traj{i:03d}_alpha.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
-        np.save(d / f"traj{i:03d}_pred.npy", pred)
 
 
 def _seed_job(args: dict) -> dict:
@@ -256,8 +254,7 @@ def _seed_job(args: dict) -> dict:
         save_bundle(hri, seed_dir / f"hri_{tag}.json")
         write_trace(seed_dir / f"hri_{tag}_trace.csv", hri.trace)
         with _stage(f"evaluate[{tag}]", fingerprint):
-            per_traj = evaluate_bundle(hri, dataset)
-        _dump_rollout_panels(hri, dataset, out_dir, tag, seed)
+            per_traj = evaluate_bundle(hri, dataset, out_dir / "dumps" / tag / f"seed{seed}")
         val = hri.trace[-1]["val_mse"] if hri.trace else float("nan")
         results["variants"][tag] = {"per_traj": per_traj, "val_mse": val}
     return results

@@ -65,47 +65,34 @@ class Gaussian:
         return cls(np.asarray(d["mean"]), np.asarray(d["cov"]))
 
 
-@dataclass(frozen=True)
-class RegSchedule:
-    """How to push a symmetric matrix to positive definiteness.
+FLAT_EPS = 1e-4  # the flat repair adds this to every diagonal entry first
+EIGEN_C = 1e-2  # each spectral bump adds this share of |lambda_min|
+MAX_BUMPS = 50
 
-    flat:  add ``eps`` to every diagonal entry.
-    eigen: while Cholesky fails, add ``c * |lambda_min|`` to the diagonal.
+
+def regularize_spd(m: np.ndarray, *, flat: bool = True) -> np.ndarray:
+    """Symmetrize ``m`` and lift its spectrum until Cholesky succeeds.
+
+    ``flat`` first adds ``FLAT_EPS`` to the diagonal; then, while Cholesky
+    fails, ``EIGEN_C * |lambda_min|`` is added to it.
     """
-
-    mode: str = "flat"
-    eps: float = 1e-4
-    c: float = 1e-2
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.mode not in ("flat", "eigen"):
-            raise ValueError(f"unknown regularization mode {self.mode!r}")
-
-
-FLAT = RegSchedule("flat")
-EIGEN = RegSchedule("eigen")
-
-
-def regularize_spd(m: np.ndarray, schedule: RegSchedule = FLAT) -> np.ndarray:
-    """Symmetrize ``m`` and lift its spectrum until Cholesky succeeds."""
     m = _as_matrix(m)
     if not np.all(np.isfinite(m)):
         raise NumericalError("matrix has non-finite entries")
     d = m.shape[0]
     out = 0.5 * (m + m.T)
-    if schedule.mode == "flat":
-        out = out + schedule.eps * np.eye(d)
+    if flat:
+        out = out + FLAT_EPS * np.eye(d)
     # spectral repair loop; a floor handles exactly singular inputs where
     # |lambda_min| vanishes, escalating if one bump is not enough
     floor = 1e-10 * max(1.0, float(np.abs(np.diag(out)).max()))
-    for _ in range(schedule.max_iter):
+    for _ in range(MAX_BUMPS):
         try:
             np.linalg.cholesky(out)
             return out
         except np.linalg.LinAlgError:
             lam_min = np.linalg.eigvalsh(out)[0]
-            bump = max(schedule.c * abs(lam_min), floor)
+            bump = max(EIGEN_C * abs(lam_min), floor)
             out = out + bump * np.eye(d)
             floor *= 4.0
     raise NumericalError("matrix could not be regularized to positive definite")

@@ -27,7 +27,7 @@ import numpy as np
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import EIGEN, Gaussian, cholesky_or_raise, log_pdf, regularize_spd
+from comotion.gauss import Gaussian, cholesky_or_raise, log_pdf, regularize_spd
 
 log = logging.getLogger(__name__)
 
@@ -46,12 +46,6 @@ class AlphaSequence:
 
     def __getitem__(self, t) -> np.ndarray:
         return self.values[t]
-
-    @property
-    def loglik(self) -> float:
-        if self.log_norm is None:
-            raise ValueError("no likelihood recorded (observation-free recursion)")
-        return float(self.log_norm.sum())
 
 
 @dataclass
@@ -381,7 +375,7 @@ def gmr_condition(
             raise ValueError("with_cov conditioning needs a diagonal posterior covariance")
         post_var = var[None]
     means, covs = conditional_moments(hmm, posterior.mean[None], post_var, [alpha_t])
-    return Gaussian(means[0], regularize_spd(covs[0], EIGEN))
+    return Gaussian(means[0], regularize_spd(covs[0], flat=False))
 
 
 def conditional_moments(

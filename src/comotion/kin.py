@@ -1,12 +1,12 @@
-"""Serial-chain forward kinematics and two position-only IK solvers.
+"""Serial-chain forward kinematics and one position-only IK solver.
 
 A chain is an ordered list of revolute joints, each a fixed offset
 transform followed by a rotation about a unit axis, with a final tool
-transform. IK is damped least squares (Levenberg-Marquardt style
-adaptation) on the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which
-comes out of the same forward pass as the end effector, batched over
-configurations. The prior-regularized variant trades task-space error
-against distance to a preferred joint configuration, and runs its restarts
+transform. IK trades task-space error against distance to a preferred
+joint configuration, by damped Gauss-Newton (Levenberg-Marquardt style) on
+the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which comes out of the
+same forward pass as the end effector, batched over configurations; with
+the prior's weight at 0 it is plain damped least squares. Its restarts run
 as one batch: the starts are scored by one forward pass, and each round of
 the search advances every run on the full batch with masked writes, so no
 round gathers or scatters the runs still searching.
@@ -66,9 +66,6 @@ class Joint:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=np.float64))
 
-    def transform(self, q: float) -> np.ndarray:
-        return self.offset @ rotation_about(self.axis, q)
-
 
 @dataclass(frozen=True)
 class KinematicChain:
@@ -92,14 +89,6 @@ class KinematicChain:
         if warn and not np.allclose(clamped, q):
             log.warning("joint vector clamped to limits: %s -> %s", q, clamped)
         return clamped
-
-    @property
-    def reach(self) -> float:
-        """Upper bound on distance from base: sum of per-link offsets."""
-        total = float(np.linalg.norm(self.tool[:3, 3]))
-        for j in self.joints:
-            total += float(np.linalg.norm(j.offset[:3, 3]))
-        return total
 
     @cached_property
     def _link_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -186,40 +175,6 @@ class IkSolution:
     converged: bool
 
 
-def ik_baseline(
-    chain: KinematicChain,
-    x_target,
-    q_init=None,
-    tol: float = 1e-4,
-    max_iters: int = 200,
-    restarts: int = 12,
-) -> IkSolution:
-    """Damped-least-squares IK toward a 3D position target.
-
-    Stalls at kinematic folds (e.g. a fully extended start) are escaped by
-    deterministic restarts sampled uniformly inside the joint box.
-    """
-    x_target = np.asarray(x_target, dtype=np.float64)
-    if not np.all(np.isfinite(x_target)):
-        raise ValueError("target position must be finite")
-    q0 = chain.clamp(
-        np.zeros(chain.n_joints) if q_init is None else np.asarray(q_init, dtype=np.float64)
-    )
-    best: IkSolution | None = None
-    total_iters = 0
-    restart_rng = np.random.default_rng(0)
-    lo, hi = chain.limits
-    for attempt in range(restarts + 1):
-        start = q0 if attempt == 0 else restart_rng.uniform(lo, hi)
-        sol = _dls_run(chain, x_target, start, tol, max_iters)
-        total_iters += sol.iterations
-        if best is None or sol.residual < best.residual:
-            best = sol
-        if best.converged:
-            break
-    return IkSolution(best.q, best.residual, total_iters, best.converged)
-
-
 _MAX_STEP = 0.5  # radians; large unconstrained steps jump into limit traps
 
 
@@ -227,40 +182,6 @@ def _cap_step(step: np.ndarray) -> np.ndarray:
     """Scale each row of ``step`` (B, n) down so no entry exceeds ``_MAX_STEP``."""
     biggest = np.abs(step).max(axis=1, keepdims=True)
     return step * (_MAX_STEP / np.maximum(biggest, _MAX_STEP))
-
-
-def _dls_run(chain, x_target, q, tol, max_iters) -> IkSolution:
-    points, jac = _frames(chain, q[None])
-    r = points[0, -1] - x_target
-    jac = jac[0]
-    res = float(np.linalg.norm(r))
-    if res < tol:
-        return IkSolution(q, res, 0, True)
-    lam = 1e-3
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = jac.T @ r
-        if np.linalg.norm(g) < 1e-12:
-            break
-        jtj = jac.T @ jac
-        improved = False
-        while lam < 1e8:
-            step = np.linalg.solve(jtj + lam * np.eye(chain.n_joints), -g)
-            cand = chain.clamp(q + _cap_step(step[None])[0])
-            points, jac_cand = _frames(chain, cand[None])
-            r_cand = points[0, -1] - x_target
-            res_cand = float(np.linalg.norm(r_cand))
-            if res_cand < res:
-                q, r, res, jac = cand, r_cand, res_cand, jac_cand[0]
-                lam = max(lam * 0.5, 1e-9)
-                improved = True
-                break
-            lam *= 4.0
-        if res < tol:
-            return IkSolution(q, res, it, True)
-        if not improved:
-            break
-    return IkSolution(q, res, it, False)
 
 
 def ik_with_prior(

@@ -31,7 +31,7 @@ import numpy as np
 
 from comotion.data import Dataset, pair_features
 from comotion.errors import ConfigError, NumericalError
-from comotion.gauss import FLAT, Gaussian, regularize_spd
+from comotion.gauss import Gaussian, regularize_spd
 from comotion.hmm import (
     Hmm,
     TransitionStateModel,
@@ -59,6 +59,21 @@ log = logging.getLogger(__name__)
 TRACE_COLUMNS = ("epoch", "recon_h", "recon_r", "kl", "cond", "total", "val_mse")
 
 
+_INT, _NUM = numbers.Integral, numbers.Real
+_FIELD_RULES = (  # (TrainConfig fields, what each must be, its test)
+    (("epochs", "mc_samples", "n_states", "d_z", "hmm_refit_every", "window", "em_max_iters"),
+     "a positive integer", lambda v: isinstance(v, _INT) and v > 0),
+    (("beta", "lr"), "a positive number", lambda v: isinstance(v, _NUM) and v > 0),
+    (("em_tol", "weight_decay", "cond_weight"), "a non-negative number",
+     lambda v: isinstance(v, _NUM) and v >= 0),
+    (("val_fraction",), "a number in [0, 1)", lambda v: isinstance(v, _NUM) and 0 <= v < 1),
+    (("hidden",), "a list of positive integers",
+     lambda v: isinstance(v, (list, tuple)) and all(isinstance(h, _INT) and h > 0 for h in v)),
+    (("seeds",), "a list of integers",
+     lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, _INT) for s in v)),
+)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 400
@@ -79,14 +94,11 @@ class TrainConfig:
     cond_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("epochs", "beta", "lr", "mc_samples", "n_states", "d_z",
-                     "hmm_refit_every", "window"):
-            value = getattr(self, name)
-            kind = numbers.Real if name in ("beta", "lr") else numbers.Integral
-            if not isinstance(value, kind) or value <= 0:
-                raise ConfigError(
-                    f"config field {name} must be a positive {kind.__name__.lower()}, got {value!r}"
-                )
+        for names, what, ok in _FIELD_RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ConfigError(f"config field {name} must be {what}, got {value!r}")
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -419,7 +431,7 @@ def fit_transition_states(
             pts = np.asarray(points)
             mean = pts.mean(axis=0)
             diff = pts - mean
-            cov = regularize_spd(diff.T @ diff / pts.shape[0], FLAT)
+            cov = regularize_spd(diff.T @ diff / pts.shape[0])
             gate = Gaussian(mean, cov)
         else:
             log.warning(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from comotion.errors import ConfigError
-from comotion.gauss import EIGEN, cholesky_or_raise, regularize_spd
+from comotion.gauss import cholesky_or_raise, regularize_spd
 from comotion.hmm import Hmm, conditional_moments
 from comotion.net import Mlp, mlp_backward, mlp_forward
 
@@ -301,7 +301,7 @@ def _sampling_chol(covs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         out = np.empty_like(bumped)
         for b in range(bumped.shape[0]):
-            out[b] = np.linalg.cholesky(regularize_spd(bumped[b], EIGEN))
+            out[b] = np.linalg.cholesky(regularize_spd(bumped[b], flat=False))
         return out
 
 

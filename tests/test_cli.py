@@ -138,6 +138,8 @@ def _small_config(**changes):
     for key, value in changes.items():
         if key == "interaction":
             config["dataset"]["synth"]["interactions"][0].update(value)
+        elif key == "dataset_seed":
+            config["dataset"]["seed"] = value
         elif key == "train":
             config["train"].update(value)
         else:
@@ -156,9 +158,21 @@ def _small_config(**changes):
         ({"train": {"epochs": 1.5}}, [], "epochs"),
         ({"train": {"n_states": 60}}, [], "n_states"),  # 26 windows per sequence
         ({"train": {"epoch": 1}}, [], "'epoch'"),
+        ({"train": {"hidden": 5}}, [], "hidden"),
+        ({"train": {"hidden": [0, -1]}}, [], "hidden"),
+        ({"train": {"seeds": 5}}, [], "seeds"),
+        ({"train": {"em_max_iters": "3"}}, [], "em_max_iters"),
+        ({"train": {"em_tol": "x"}}, [], "em_tol"),
+        ({"train": {"weight_decay": "a"}}, [], "weight_decay"),
+        ({"train": {"cond_weight": None}}, [], "cond_weight"),
+        ({"train": {"val_fraction": 2.0}}, [], "val_fraction"),
+        ({"split_seed": "x"}, [], "split_seed"),
+        ({"dataset_seed": "x"}, [], "dataset.seed"),
     ],
     ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
-         "epochs-float", "n-states-over-windows", "train-key"],
+         "epochs-float", "n-states-over-windows", "train-key", "hidden-int", "hidden-non-positive",
+         "seeds-int", "em-max-iters-string", "em-tol-string", "weight-decay-string",
+         "cond-weight-null", "val-fraction-over-one", "split-seed-string", "dataset-seed-string"],
 )
 def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, args, field):
     cfg = tmp_path / "c.json"

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
+from comotion import evaluate
 from comotion.errors import ConfigError
 from comotion.evaluate import (
     config_fingerprint,
+    load_experiment_dataset,
     mann_whitney_u,
     mse,
     run_experiment,
 )
+from comotion.infer import conditional_predictions
 
 
 def test_mse_identical_is_zero():
@@ -154,3 +157,29 @@ def test_run_experiment_on_malformed_config_file_is_config_error(tmp_path, text)
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(ConfigError, match="bad.json"):
         run_experiment(path, tmp_path / "out")
+
+
+def test_run_experiment_predicts_each_test_trajectory_once(tmp_path, monkeypatch):
+    """Scoring and the dumps share one prediction per test trajectory,
+    variant and seed."""
+    config = {
+        "dataset": {
+            "synth": {"interactions": [{"name": "greet", "n_traj": 5, "length": 30, "noise": 0.05}]},
+            "seed": 0,
+        },
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+        "variants": ["v1", "v3.2"],
+        "seeds": [0, 1],
+    }
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return conditional_predictions(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "conditional_predictions", counting)
+    report = run_experiment(config, tmp_path)
+    n_test = load_experiment_dataset(config).assignment.count("test")
+    assert n_test >= 1
+    assert len(calls) == n_test * 2 * 2 == len(report.rows)
+    assert len(list((tmp_path / "dumps").rglob("*_pred.npy"))) == len(calls)

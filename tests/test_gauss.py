@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comotion.errors import NumericalError
-from comotion.gauss import EIGEN, FLAT, Gaussian, log_pdf, regularize_spd
+from comotion.gauss import Gaussian, log_pdf, regularize_spd
 
 
 def random_spd(rng, d, scale=1.0):
@@ -127,7 +127,7 @@ def test_kl_self_zero_property(seed, d):
 
 
 def test_regularize_flat_on_identity():
-    out = regularize_spd(np.eye(3), FLAT)
+    out = regularize_spd(np.eye(3))
     np.testing.assert_allclose(np.diag(out), [1.0001, 1.0001, 1.0001], rtol=0)
 
 
@@ -135,7 +135,7 @@ def test_regularize_eigen_repairs_rank_deficient():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((5, 2))
     gram = a @ a.T  # rank 2
-    out = regularize_spd(gram, EIGEN)
+    out = regularize_spd(gram, flat=False)
     assert np.linalg.eigvalsh(out)[0] > 0
     np.linalg.cholesky(out)
 
@@ -143,8 +143,8 @@ def test_regularize_eigen_repairs_rank_deficient():
 def test_regularize_eigen_idempotent_once_spd():
     rng = np.random.default_rng(8)
     m = random_spd(rng, 4)
-    once = regularize_spd(m, EIGEN)
-    twice = regularize_spd(once, EIGEN)
+    once = regularize_spd(m, flat=False)
+    twice = regularize_spd(once, flat=False)
     np.testing.assert_array_equal(once, twice)
 
 

@@ -6,9 +6,8 @@ import pytest
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import EIGEN, Gaussian, log_pdf, regularize_spd
+from comotion.gauss import Gaussian, log_pdf, regularize_spd
 from comotion.hmm import (
-    AlphaSequence,
     Hmm,
     TransitionStateModel,
     conditional_moments,
@@ -149,12 +148,6 @@ def test_forward_unobserved_identity_transitions():
     bar = forward_unobserved(h, 10).values
     for t in range(10):
         np.testing.assert_allclose(bar[t], h.pi, atol=1e-12)
-
-
-def test_alpha_sequence_loglik_requires_observations():
-    seq = AlphaSequence(np.ones((2, 2)) * 0.5, None)
-    with pytest.raises(ValueError):
-        _ = seq.loglik
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +440,7 @@ def test_gmr_condition_matches_reference_loop(mode):
             h, points[b], var[b] if mode == "with_cov" else None, alphas[b]
         )
         np.testing.assert_allclose(got.mean, ref_mean, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(got.cov, regularize_spd(ref_cov, EIGEN), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.cov, regularize_spd(ref_cov, flat=False), rtol=0, atol=1e-10)
 
 
 def test_gmr_with_cov_rejects_a_full_posterior_covariance():

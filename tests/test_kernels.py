@@ -303,7 +303,7 @@ def test_underflowed_state_is_revived():
     alpha = forward(hmm, obs)
     np.testing.assert_allclose(alpha.values, np.exp(ref_alpha), rtol=0, atol=TOL)
     np.testing.assert_allclose(alpha[2], [0.8901, 0.1099], atol=1e-4)
-    assert alpha.loglik == pytest.approx(ref_norm.sum(), rel=0, abs=TOL)
+    assert alpha.log_norm.sum() == pytest.approx(ref_norm.sum(), rel=0, abs=TOL)
     log_beta = K.backward_log(log_lik[None], _log(hmm.trans), np.ones((1, 3), bool))
     np.testing.assert_allclose(
         log_beta[0], backward_log_np(log_lik, _log(hmm.trans)), rtol=0, atol=TOL

@@ -13,7 +13,6 @@ from comotion.kin import (
     default_arm_chain,
     fk,
     fk_pose,
-    ik_baseline,
     ik_with_prior,
     jacobian,
     load_chain,
@@ -70,7 +69,8 @@ def test_fk_association_order_independent():
         )
         chain = KinematicChain(joints, np.eye(4), translation([0.1, 0, 0]))
         q = rng.uniform(-1, 1, 4)
-        mats = [chain.base] + [j.transform(qi) for j, qi in zip(chain.joints, q)] + [chain.tool]
+        mats = [j.offset @ rotation_about(j.axis, qi) for j, qi in zip(chain.joints, q)]
+        mats = [chain.base] + mats + [chain.tool]
         left = mats[0]
         for m in mats[1:]:
             left = left @ m
@@ -96,33 +96,34 @@ def test_joint_requires_unit_axis():
 def test_ik_already_solved_returns_init():
     c = planar_chain((1.0, 1.0))
     q0 = np.array([0.4, -0.7])
-    sol = ik_baseline(c, fk(c, q0), q0)
+    sol = ik_with_prior(c, fk(c, q0), q0, 1.0, 0.0)
     np.testing.assert_allclose(sol.q, q0, atol=1e-12)
     assert sol.residual < 1e-10
     assert sol.iterations <= 1 and sol.converged
 
 
 def test_ik_reachable_targets_converge():
+    """At lambda_q = 0 the prior only picks the warm start: from the zero
+    configuration, as ``comotion ik-demo``'s baseline starts, and from a
+    random one, every reachable target is reached."""
     rng = np.random.default_rng(2)
     for chain in (planar_chain((1.0, 1.0)), default_arm_chain()):
         lo, hi = chain.limits
         for _ in range(25):
             target = fk(chain, rng.uniform(lo, hi))
-            sol = ik_baseline(chain, target)
-            assert sol.residual < 1e-4
-            np.testing.assert_allclose(fk(chain, sol.q), target, atol=2e-4)
+            for start in (np.zeros(chain.n_joints), rng.uniform(lo, hi)):
+                sol = ik_with_prior(chain, target, start, 1.0, 0.0)
+                assert sol.residual < 1e-4
+                np.testing.assert_allclose(fk(chain, sol.q), target, atol=2e-4)
 
 
 def test_ik_unreachable_reports_gap():
     c = planar_chain((1.0, 1.0))
-    sol = ik_baseline(c, [3.0, 0.0, 0.0])
-    assert not sol.converged
+    sol = ik_with_prior(c, [3.0, 0.0, 0.0], np.zeros(2), 1.0, 0.0)
     assert sol.residual == pytest.approx(1.0, abs=1e-3)
 
 
 def test_ik_rejects_non_finite_target():
-    with pytest.raises(ValueError, match="finite"):
-        ik_baseline(planar_chain(), [np.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         ik_with_prior(planar_chain(), [np.nan, 0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
@@ -169,17 +170,6 @@ def test_ik_prior_matches_grid_search_oracle():
         prior = (g1[:, None] - mu_q[0]) ** 2 + (g2[None, :] - mu_q[1]) ** 2
         best = float((lam_x * task + lam_q * prior).min())
         assert obj <= best + 1e-3
-
-
-def test_ik_prior_lambda_q_zero_matches_baseline_residual():
-    chain = planar_chain((1.0, 1.0))
-    rng = np.random.default_rng(4)
-    lo, hi = chain.limits
-    for _ in range(10):
-        target = fk(chain, rng.uniform(lo, hi))
-        base = ik_baseline(chain, target)
-        prior = ik_with_prior(chain, target, rng.uniform(lo, hi), 1.0, 0.0, grad_tol=1e-9)
-        assert abs(base.residual - prior.residual) < 1e-4
 
 
 def test_ik_prior_run_ending_on_a_joint_limit_converges():

@@ -1,4 +1,5 @@
-"""Every module-level function and class in src/comotion has a user.
+"""Every module-level function and class in src/comotion, and every method
+and property of those classes other than dunders, has a user.
 
 A user is a ``Name`` or ``Attribute`` node naming it in src/comotion/*.py or
 bench/*.py, or a string constant in bench/*.py, because the benchmark's
@@ -31,10 +32,17 @@ def test_every_module_level_definition_has_a_user():
             node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         )
-    unused = [
-        f"{module}.{node.name}"
-        for module, tree in src.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names
-    ]
+    defined = []
+    for module, tree in src.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    unused = [qualified for qualified, name in defined if name not in names]
     assert not unused, f"nothing in src/comotion or bench/ uses {unused}"
