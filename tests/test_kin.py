@@ -172,6 +172,20 @@ def test_ik_prior_matches_grid_search_oracle():
         assert obj <= best + 1e-3
 
 
+def test_ik_prior_lambda_q_zero_matches_baseline_residual():
+    """The baseline ``comotion ik-demo`` prints is ``ik_with_prior`` at
+    lambda_q = 0 from the zero configuration; from any other prior the same
+    lambda_q = 0 solve reaches the same residual."""
+    chain = planar_chain((1.0, 1.0))
+    rng = np.random.default_rng(4)
+    lo, hi = chain.limits
+    for _ in range(10):
+        target = fk(chain, rng.uniform(lo, hi))
+        base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
+        prior = ik_with_prior(chain, target, rng.uniform(lo, hi), 1.0, 0.0, grad_tol=1e-9)
+        assert abs(base.residual - prior.residual) < 1e-4
+
+
 def test_ik_prior_run_ending_on_a_joint_limit_converges():
     """A minimum on the boundary of the joint box is a converged solution:
     the joint pinned there by the gradient takes no step and is left out of
