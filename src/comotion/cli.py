@@ -52,9 +52,12 @@ def _load_config(args) -> dict:
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
-    spec_dict = config.get("synth", config.get("dataset", {}).get("synth", {})) if config else {}
-    spec = SynthSpec.from_dict(spec_dict)
+    """Generate from the config's ``dataset.synth`` spec, or from the default
+    spec without ``--config``."""
+    src = _load_config(args).get("dataset") if args.config else {"synth": {}}
+    if not (isinstance(src, dict) and "synth" in src):
+        raise ConfigError(f"config field dataset must hold a synth spec, got {src!r}")
+    spec = SynthSpec.from_dict(src["synth"])
     ds = synth_generate(spec, np.random.default_rng(args.seed))
     out = Path(args.out or "synth_dataset")
     save_dataset(ds, out)
@@ -81,9 +84,9 @@ def cmd_train_hri(args) -> int:
     config = _load_config(args)
     ds = load_experiment_dataset(config)
     cfg = TrainConfig.from_dict(config.get("train", {}))
+    state_sets = state_sets_from_config(config)
     hhi = load_bundle(args.hhi)
     bundle = train_hri(ds, hhi, cfg, args.seed)
-    state_sets = state_sets_from_config(config)
     if state_sets:
         bundle = fit_transition_states(bundle, ds, state_sets)
     out = Path(args.out or "hri_out")
@@ -171,12 +174,11 @@ def cmd_inspect_hmm(args) -> int:
     bundle = load_bundle(args.model)
     for label, (hmm, tsm) in sorted(bundle.hmms.items()):
         print(f"interaction {label!r}: {hmm.n_states} states, dim {hmm.dim}")
-        abar = forward_unobserved(hmm, args.horizon).values
+        abar = forward_unobserved(hmm, args.horizon)
         occupancy = abar.mean(axis=0)
         peak = abar.argmax(axis=0)
         for i in range(hmm.n_states):
-            h_mean = hmm.marginal(i, "h").mean
-            r_mean = hmm.marginal(i, "r").mean
+            h_mean, r_mean = hmm.means[i, : hmm.d_z], hmm.means[i, hmm.d_z :]
             print(
                 f"  state {i}: pi={hmm.pi[i]:.3f} self={hmm.trans[i, i]:.3f} "
                 f"occupancy={occupancy[i]:.3f} peak_t={int(peak[i])} "
@@ -205,7 +207,7 @@ def _print_state_timing(bundle, ds: Dataset, label: str) -> None:
             continue
         x_h, _ = pair_features(pair, w)
         mu, _, _, _ = encode_batch(bundle.human_vae, x_h)
-        states = forward(hmm, mu, "h").values.argmax(axis=1)
+        states = forward(hmm, mu, "h").argmax(axis=1)
         for i in range(hmm.n_states):
             hits = np.flatnonzero(states == i)
             if hits.size:

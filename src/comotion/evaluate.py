@@ -24,6 +24,7 @@ import numpy as np
 
 from comotion.data import Dataset, SynthSpec, load_dataset, pair_features, split, synth_generate
 from comotion.errors import ConfigError, DataError, NumericalError
+from comotion.hmm import TransitionStateModel
 from comotion.infer import conditional_predictions
 from comotion.train import (
     ModelBundle,
@@ -49,21 +50,6 @@ def mse(pred: np.ndarray, gt: np.ndarray) -> float:
     return float((diff * diff).mean())
 
 
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Midrank-based ranks (1-based), averaging over ties."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def _u_min(pooled: np.ndarray, ranks: np.ndarray, a_idx) -> float:
     n = len(a_idx)
     m = len(pooled) - n
@@ -87,7 +73,11 @@ def mann_whitney_u(a, b) -> float:
     pooled = np.concatenate([a, b])
     if np.all(pooled == pooled[0]):
         return 1.0
-    ranks = _rankdata(pooled)
+    # imported here: scipy.stats adds ~40 MB of resident memory to every
+    # process that imports this module, and only the report needs it
+    from scipy.stats import rankdata
+
+    ranks = rankdata(pooled)  # midranks, 1-based
     u_obs = _u_min(pooled, ranks, range(n))
     if min(n, m) < 8:
         total = 0
@@ -178,20 +168,27 @@ def load_experiment_dataset(config: dict) -> Dataset:
         ds = load_dataset(src)
     elif isinstance(src, dict) and "synth" in src:
         spec = SynthSpec.from_dict(src["synth"])
-        ds = synth_generate(spec, np.random.default_rng(_int_field(src, "seed", "dataset.seed")))
+        seed = _field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
+        ds = synth_generate(spec, np.random.default_rng(seed))
     else:
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
-    fraction = config.get("split_fraction", 0.8)
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
-        raise ConfigError(f"config field split_fraction must be in (0, 1), got {fraction!r}")
-    return split(ds, float(fraction), _int_field(config, "split_seed", "split_seed"))
+    fraction = _field(config, "split_fraction", 0.8, "split_fraction", "in (0, 1)",
+                      lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0)
+    split_seed = _field(config, "split_seed", 0, "split_seed", "an integer", _is_int)
+    return split(ds, float(fraction), int(split_seed))
 
 
-def _int_field(entry: dict, key: str, name: str) -> int:
-    value = entry.get(key, 0)
-    if not isinstance(value, numbers.Integral):
-        raise ConfigError(f"config field {name} must be an integer, got {value!r}")
-    return int(value)
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral)
+
+
+def _field(entry: dict, key: str, default, name: str, what: str, ok):
+    """``entry[key]``, or ``default`` when absent; a ConfigError naming the
+    field ``name`` unless ``ok(value)``."""
+    value = entry.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+    return value
 
 
 def evaluate_bundle(
@@ -262,27 +259,36 @@ def _seed_job(args: dict) -> dict:
 
 def state_sets_from_config(config: dict) -> dict | None:
     """Per label (contact_states, reach_states) from the config, or None
-    when it names no contact states."""
+    when it names no contact states; sets a ``TransitionStateModel`` rejects
+    (no contact state, or contact and reach states overlap) are a
+    ConfigError naming the label."""
     contact = config.get("contact_states")
     reach = config.get("reach_states")
     if not contact:
         return None
-    return {
-        label: (contact[label], (reach or {}).get(label, []))
-        for label in contact
-    }
+    sets = {label: (contact[label], (reach or {}).get(label, [])) for label in contact}
+    for label, (c, r) in sets.items():
+        try:
+            TransitionStateModel(c, r)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config field contact_states.{label}: {exc}") from None
+    return sets
 
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> EvalReport:
     """Train, evaluate and report over the (variant x seed) grid."""
     if not isinstance(config, dict):
         config = load_config(config)
+    # a malformed entry fails here, before any training
     for tag in config.get("variants", ["v1"]):
-        Variant(tag)  # an unknown tag fails here, before any training
+        Variant(tag)
+    state_sets_from_config(config)
+    seeds = _field(config, "seeds", [0], "seeds", "a non-empty list of integers",
+                   lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
+    threads = _field(config, "threads", 1, "threads", "a positive integer",
+                     lambda v: _is_int(v) and v > 0)
     out_dir = Path(out_dir or config.get("out", "experiment_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in config.get("seeds", [0])]
-    threads = int(config.get("threads", 1))
     jobs = [{"config": config, "seed": s, "out_dir": str(out_dir)} for s in seeds]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

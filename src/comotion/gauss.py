@@ -1,10 +1,11 @@
 """Dense Gaussian algebra: log-density and SPD repair.
 
-Every distribution in the package is carried as a mean plus a full
-symmetric positive-definite covariance; this module is the shared currency
-for the sequence model emissions, the encoder posteriors, and the
-conditional outputs. All density arithmetic goes through Cholesky factors
-and stays in log space.
+Moments pass between modules as plain (mean, cov) arrays. ``Gaussian``
+carries the one stored distribution that is not part of a model's
+parameter arrays, the contact gate's transition-state density, and
+``log_pdf`` evaluates it. ``regularize_spd`` repairs fitted covariances.
+All density arithmetic goes through Cholesky factors and stays in log
+space.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @classmethod
-    def diagonal(cls, mean, var) -> "Gaussian":
-        var = np.asarray(var, dtype=np.float64).reshape(-1)
-        return cls(mean, np.diag(var))
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}

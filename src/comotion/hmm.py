@@ -7,6 +7,13 @@ observation-free one, mixture conditioning of the r block on the h block
 (optionally accounting for the encoder's posterior covariance), and the
 contact-segment gate used for stiffness switching.
 
+Everything passes plain arrays. ``state_log_liks`` gives the (T, N) log
+emission densities of a block; ``forward`` and ``forward_unobserved``
+return the (T, N) forward variable; the online ``forward_step`` takes one
+(N,) row of emission densities, so a caller that also needs the densities,
+as the contact gate does, computes them once. ``gmr_condition`` returns the
+raw conditional (mean, cov) of the r block.
+
 Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
@@ -21,7 +28,7 @@ Mixture conditioning has one path, the batched ``conditional_moments``;
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +39,6 @@ from comotion.gauss import Gaussian, cholesky_or_raise, log_pdf, regularize_spd
 log = logging.getLogger(__name__)
 
 BLOCKS = ("full", "h", "r")
-
-
-@dataclass
-class AlphaSequence:
-    """Per-timestep state probabilities; each row sums to 1."""
-
-    values: np.ndarray
-    log_norm: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, t) -> np.ndarray:
-        return self.values[t]
 
 
 @dataclass
@@ -71,10 +64,6 @@ class Hmm:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def marginal(self, i: int, block: str) -> Gaussian:
-        lo, hi = self._block_range(block)
-        return Gaussian(self.means[i, lo:hi], self.covs[i, lo:hi, lo:hi])
 
     def _block_range(self, block: str) -> tuple[int, int]:
         if block == "full":
@@ -134,14 +123,15 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def forward(hmm: Hmm, obs: np.ndarray, block: str = "full") -> AlphaSequence:
-    """Normalized forward variable of an observed latent sequence."""
+def forward(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray:
+    """(T, N) normalized forward variable of an observed latent sequence;
+    each row sums to 1."""
     log_lik = state_log_liks(hmm, obs, block)
     log_alpha, log_norm = _kernels.forward_log(
         log_lik[None], _safe_log(hmm.pi), _safe_log(hmm.trans)
     )
     _raise_on_collapse(log_norm)
-    return AlphaSequence(np.exp(log_alpha[0]), log_norm[0])
+    return np.exp(log_alpha[0])
 
 
 def _raise_on_collapse(log_norm: np.ndarray, mask: np.ndarray | None = None) -> None:
@@ -158,36 +148,35 @@ def _raise_on_collapse(log_norm: np.ndarray, mask: np.ndarray | None = None) -> 
 
 def forward_step(
     hmm: Hmm,
-    z: np.ndarray,
+    log_lik_t: np.ndarray,
     log_alpha_prev: np.ndarray | None,
-    block: str = "full",
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of the observed forward recursion.
 
-    Carries the normalized log state distribution; pass None to start.
+    ``log_lik_t`` is the step's (N,) row of ``state_log_liks``. Carries the
+    normalized log state distribution; pass None to start.
     Returns (alpha_t, log_alpha_t).
     """
-    log_lik = state_log_liks(hmm, np.asarray(z)[None, :], block)
     log_trans = _safe_log(hmm.trans)
     if log_alpha_prev is None:
         log_prior = _safe_log(hmm.pi)
     else:
         log_prior = _kernels.predict_log(log_alpha_prev, log_trans)
-    log_alpha, log_norm = _kernels.forward_log(log_lik[None], log_prior, log_trans)
+    log_alpha, log_norm = _kernels.forward_log(log_lik_t[None, None], log_prior, log_trans)
     if not np.isfinite(log_norm[0, 0]):
         raise NumericalError("forward step collapsed (all-zero likelihood row)")
     la = log_alpha[0, 0]
     return np.exp(la), la
 
 
-def forward_unobserved(hmm: Hmm, horizon: int) -> AlphaSequence:
-    """Forward recursion with the likelihood term set to one."""
+def forward_unobserved(hmm: Hmm, horizon: int) -> np.ndarray:
+    """(horizon, N) forward recursion with the likelihood term set to one."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     log_alpha, _ = _kernels.forward_log(
         np.zeros((1, int(horizon), hmm.n_states)), _safe_log(hmm.pi), _safe_log(hmm.trans)
     )
-    return AlphaSequence(np.exp(log_alpha[0]), None)
+    return np.exp(log_alpha[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +340,21 @@ def _reseed_starving(hmm: Hmm, sequences: list[np.ndarray], which: np.ndarray) -
 
 def gmr_condition(
     hmm: Hmm,
-    posterior: Gaussian,
+    mu: np.ndarray,
+    post_var: np.ndarray | None,
     alpha_t: np.ndarray,
-    mode: str = "point",
-) -> Gaussian:
-    """Condition the r block on the h block, mixed by ``alpha_t``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Condition the r block on one h-block point ``mu`` (d_z,), mixed by
+    ``alpha_t``; ``conditional_moments`` with a batch of one.
 
-    point:    treat ``posterior.mean`` as an exact observation.
-    with_cov: add the posterior covariance to the h-block covariance in the
-              gain, i.e. condition on a noisy observation; the posterior
-              must be diagonal, as the encoder's are.
-    Returns ``conditional_moments`` for a batch of one, its covariance
-    repaired to positive definite.
+    ``post_var`` (d_z,), the encoder's diagonal posterior variance, is added
+    to the h-block covariance in the gain, i.e. conditions on a noisy
+    observation; None treats ``mu`` as exact. Returns the raw (mean (d_r,),
+    cov (d_r, d_r)).
     """
-    if mode not in ("point", "with_cov"):
-        raise ValueError(f"unknown conditioning mode {mode!r}")
-    if posterior.dim != hmm.d_z:
-        raise ValueError(f"posterior dim {posterior.dim} != h block {hmm.d_z}")
-    post_var = None
-    if mode == "with_cov":
-        var = np.diag(posterior.cov)
-        if np.any(posterior.cov != np.diag(var)):
-            raise ValueError("with_cov conditioning needs a diagonal posterior covariance")
-        post_var = var[None]
-    means, covs = conditional_moments(hmm, posterior.mean[None], post_var, [alpha_t])
-    return Gaussian(means[0], regularize_spd(covs[0], flat=False))
+    post_var = None if post_var is None else post_var[None]
+    means, covs = conditional_moments(hmm, mu[None], post_var, alpha_t[None])
+    return means[0], covs[0]
 
 
 def conditional_moments(
@@ -429,23 +408,19 @@ def conditional_moments(
 # ---------------------------------------------------------------------------
 
 
-
 @dataclass
 class TransitionStateModel:
-    """Contact/reach state labels plus the boundary-misclassification gate.
-
-    ``reach_marginals`` caches the h-block marginals of the reach states so
-    the gate density test needs no model handle at call time.
-    """
+    """Contact/reach state labels plus the boundary-misclassification gate."""
 
     contact_states: frozenset[int]
     reach_states: frozenset[int]
     gate: Gaussian | None = None
-    reach_marginals: list[Gaussian] = field(default_factory=list)
 
     def __post_init__(self):
         self.contact_states = frozenset(int(i) for i in self.contact_states)
         self.reach_states = frozenset(int(i) for i in self.reach_states)
+        if not self.contact_states:
+            raise ValueError("contact state set must not be empty")
         if self.contact_states & self.reach_states:
             raise ValueError("contact and reach state sets must be disjoint")
 
@@ -457,15 +432,17 @@ class TransitionStateModel:
         reach_states,
         gate: Gaussian | None = None,
     ) -> "TransitionStateModel":
-        marg = [hmm.marginal(i, "h") for i in sorted(int(j) for j in reach_states)]
-        return cls(frozenset(contact_states), frozenset(reach_states), gate, marg)
+        """ValueError when a state index is outside ``hmm``'s states."""
+        states = {int(i) for i in contact_states} | {int(i) for i in reach_states}
+        if any(not 0 <= i < hmm.n_states for i in states):
+            raise ValueError(f"state indices {sorted(states)} outside 0..{hmm.n_states - 1}")
+        return cls(frozenset(contact_states), frozenset(reach_states), gate)
 
     def to_dict(self) -> dict:
         return {
             "contact_states": sorted(self.contact_states),
             "reach_states": sorted(self.reach_states),
             "gate": self.gate.to_dict() if self.gate is not None else None,
-            "reach_marginals": [g.to_dict() for g in self.reach_marginals],
         }
 
     @classmethod
@@ -474,12 +451,12 @@ class TransitionStateModel:
             frozenset(d["contact_states"]),
             frozenset(d["reach_states"]),
             Gaussian.from_dict(d["gate"]) if d.get("gate") else None,
-            [Gaussian.from_dict(g) for g in d.get("reach_marginals", [])],
         )
 
 
 def contact_gate(
     alpha_t: np.ndarray,
+    log_lik_t: np.ndarray,
     tsm: TransitionStateModel,
     z_h: np.ndarray,
     prev: bool = False,
@@ -489,19 +466,14 @@ def contact_gate(
 
     Fires when the contact states out-probabilize the reach states, or when
     the transition-state gate density at ``z_h`` beats every reach state's
-    emission density.
+    h-block emission density, read from ``log_lik_t``, the step's (N,) row
+    of ``state_log_liks``.
     """
     if prev:
         return True
-    if not tsm.contact_states:
-        log.warning("contact gate disabled: no contact states configured")
-        return False
-    alpha_t = np.asarray(alpha_t, dtype=np.float64)
     contact_p = max(alpha_t[i] for i in tsm.contact_states)
     reach_p = max((alpha_t[i] for i in tsm.reach_states), default=0.0)
     fired = contact_p > reach_p
-    if not fired and tsm.gate is not None and tsm.reach_marginals:
-        gate_ll = log_pdf(tsm.gate, z_h)
-        reach_ll = max(log_pdf(g, z_h) for g in tsm.reach_marginals)
-        fired = gate_ll > reach_ll
+    if not fired and tsm.gate is not None and tsm.reach_states:
+        fired = log_pdf(tsm.gate, z_h) > max(log_lik_t[i] for i in tsm.reach_states)
     return bool(fired)

@@ -6,6 +6,12 @@ sequence model, conditions the r block, decodes the conditional mean, and,
 when the contact gate has fired and a hand target is available, pulls the
 commanded joints toward the target with prior-regularized IK. The gate
 latches: once a trajectory enters its contact phase it never drops back.
+
+The step passes plain arrays and computes each quantity once: the encoder's
+(mu, var), one row of h-block emission log-densities that both the forward
+step and the gate's reach-state test read, and the raw conditional (mean,
+cov) of ``gmr_condition``. ``conditional_predictions`` runs the same
+encode, forward and conditioning over a whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from comotion.errors import ConfigError
-from comotion.gauss import Gaussian
 from comotion.hmm import (
     Hmm,
     conditional_moments,
@@ -23,6 +28,7 @@ from comotion.hmm import (
     forward,
     forward_step,
     gmr_condition,
+    state_log_liks,
 )
 from comotion.kin import KinematicChain, ik_with_prior
 from comotion.data import window_features
@@ -44,7 +50,8 @@ class StepOutput:
     q_cmd: np.ndarray
     stiffness_low: bool
     alpha_t: np.ndarray
-    latent_r: Gaussian
+    latent_mean: np.ndarray  # (d_z,) conditional mean of the r block
+    latent_cov: np.ndarray  # (d_z, d_z) its raw mixture covariance
     ik_used: bool = False
 
 
@@ -67,16 +74,16 @@ def reactive_step(
     if x_h.shape[0] != v_h.input_dim:
         raise ValueError(f"window width {x_h.shape[0]} != expected {v_h.input_dim}")
     mu, var, _, _ = encode_batch(v_h, x_h[None, :])
-    alpha_t, log_alpha = forward_step(hmm, mu[0], state.log_alpha, "h")
-    mode = bundle.config.variant.conditioning_mode
-    posterior = Gaussian.diagonal(mu[0], var[0])
-    latent_r = gmr_condition(hmm, posterior, alpha_t, mode)
-    window = decode(v_r, latent_r.mean)
+    log_lik = state_log_liks(hmm, mu, "h")[0]
+    alpha_t, log_alpha = forward_step(hmm, log_lik, state.log_alpha)
+    post_var = var[0] if bundle.config.variant.uses_cov else None
+    latent_mean, latent_cov = gmr_condition(hmm, mu[0], post_var, alpha_t)
+    window = decode(v_r, latent_mean)
     n_r = v_r.input_dim // bundle.config.window
     q_raw = window[-n_r:]
     fired = False
     if tsm is not None:
-        fired = contact_gate(alpha_t, tsm, mu[0], prev=state.gate)
+        fired = contact_gate(alpha_t, log_lik, tsm, mu[0], prev=state.gate)
     ik_used = False
     if fired and hand_pos is not None and chain is not None:
         sol = ik_with_prior(chain, hand_pos, q_raw, 1.0, 0.01)
@@ -89,7 +96,7 @@ def reactive_step(
         buffer = (buffer + [q_cmd])[-len(smooth_weights) :]
         w = np.asarray(smooth_weights, dtype=np.float64)[-len(buffer) :]
         q_cmd = (w[:, None] * np.asarray(buffer)).sum(axis=0) / w.sum()
-    out = StepOutput(q_cmd, fired, alpha_t, latent_r, ik_used)
+    out = StepOutput(q_cmd, fired, alpha_t, latent_mean, latent_cov, ik_used)
     return out, ReactiveState(log_alpha, fired, buffer, state.t + 1)
 
 
@@ -132,7 +139,7 @@ def rollout(
         alpha=np.asarray([o.alpha_t for o in outs]),
         stiffness_low=np.asarray([o.stiffness_low for o in outs], dtype=bool),
         ik_used=np.asarray([o.ik_used for o in outs], dtype=bool),
-        latent_mean=np.asarray([o.latent_r.mean for o in outs]),
+        latent_mean=np.asarray([o.latent_mean for o in outs]),
     )
 
 
@@ -151,7 +158,7 @@ def conditional_predictions(
     conditional means. Returns (predictions (B, D_r), alpha (B, N)).
     """
     mu, var, _, _ = encode_batch(v_h, x_h_windows)
-    alpha = forward(hmm, mu, "h").values
+    alpha = forward(hmm, mu, "h")
     post_var = var if variant.uses_cov else None
     means, _ = conditional_moments(hmm, mu, post_var, alpha)
     return decode(v_r, means), alpha

@@ -240,7 +240,7 @@ def _prior_packs(hmms) -> dict[str, tuple[PriorPack, PriorPack]]:
 def _unobserved_index(hmm: Hmm, length: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     key = (id(hmm), length)
     if key not in cache:
-        abar = forward_unobserved(hmm, length).values
+        abar = forward_unobserved(hmm, length)
         cache[key] = (abar, np.argmax(abar, axis=1))
     return cache[key]
 
@@ -411,7 +411,10 @@ def fit_transition_states(
         hmm_c, tsm = new_hmms[label]
         if state_sets and label in state_sets:
             contact, reach = state_sets[label]
-            tsm = TransitionStateModel.for_hmm(hmm_c, contact, reach)
+            try:
+                tsm = TransitionStateModel.for_hmm(hmm_c, contact, reach)
+            except ValueError as exc:
+                raise ConfigError(f"config field contact_states.{label}: {exc}") from None
         if tsm is None:
             continue
         points = []
@@ -420,8 +423,8 @@ def fit_transition_states(
                 continue
             mu_h, _, _, _ = encode_batch(bundle.human_vae, f.x_h)
             mu_r, _, _, _ = encode_batch(bundle.robot_vae, f.x_r)
-            a_h = forward(hmm_c, mu_h, "h").values
-            a_joint = forward(hmm_c, np.hstack([mu_h, mu_r]), "full").values
+            a_h = forward(hmm_c, mu_h, "h")
+            a_joint = forward(hmm_c, np.hstack([mu_h, mu_r]), "full")
             i_h = np.argmax(a_h, axis=1)
             i_j = np.argmax(a_joint, axis=1)
             for t in range(mu_h.shape[0]):

@@ -70,10 +70,6 @@ class Variant:
     def uses_cov(self) -> bool:
         return self.tag.endswith(".2")
 
-    @property
-    def conditioning_mode(self) -> str:
-        return "with_cov" if self.uses_cov else "point"
-
 
 @dataclass
 class Vae:

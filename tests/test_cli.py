@@ -102,6 +102,7 @@ def test_config_error_without_dataset(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
     assert main(["--config", str(cfg), "train-hhi"]) == 2
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "ds"), "synth"]) == 2
 
 
 def test_truncated_checkpoint_is_exit_2(tmp_path, capsys):
@@ -147,38 +148,52 @@ def _small_config(**changes):
     return config
 
 
+HHI = ["train-hhi"]
+
+
 @pytest.mark.parametrize(
-    "changes, args, field",
+    "changes, command, field",
     [
-        ({}, ["--variant", "bogus"], "variant"),
-        ({"train": {"variant": "bogus"}}, [], "variant"),
-        ({"split_fraction": 1.5}, [], "split_fraction"),
-        ({"interaction": {"n_trajs": 4}}, [], "n_trajs"),
-        ({"train": {"epochs": "1"}}, [], "epochs"),
-        ({"train": {"epochs": 1.5}}, [], "epochs"),
-        ({"train": {"n_states": 60}}, [], "n_states"),  # 26 windows per sequence
-        ({"train": {"epoch": 1}}, [], "'epoch'"),
-        ({"train": {"hidden": 5}}, [], "hidden"),
-        ({"train": {"hidden": [0, -1]}}, [], "hidden"),
-        ({"train": {"seeds": 5}}, [], "seeds"),
-        ({"train": {"em_max_iters": "3"}}, [], "em_max_iters"),
-        ({"train": {"em_tol": "x"}}, [], "em_tol"),
-        ({"train": {"weight_decay": "a"}}, [], "weight_decay"),
-        ({"train": {"cond_weight": None}}, [], "cond_weight"),
-        ({"train": {"val_fraction": 2.0}}, [], "val_fraction"),
-        ({"split_seed": "x"}, [], "split_seed"),
-        ({"dataset_seed": "x"}, [], "dataset.seed"),
+        ({}, [*HHI, "--variant", "bogus"], "variant"),
+        ({"train": {"variant": "bogus"}}, HHI, "variant"),
+        ({"split_fraction": 1.5}, HHI, "split_fraction"),
+        ({"interaction": {"n_trajs": 4}}, HHI, "n_trajs"),
+        ({"train": {"epochs": "1"}}, HHI, "epochs"),
+        ({"train": {"epochs": 1.5}}, HHI, "epochs"),
+        ({"train": {"n_states": 60}}, HHI, "n_states"),  # 26 windows per sequence
+        ({"train": {"epoch": 1}}, HHI, "'epoch'"),
+        ({"train": {"hidden": 5}}, HHI, "hidden"),
+        ({"train": {"hidden": [0, -1]}}, HHI, "hidden"),
+        ({"train": {"seeds": 5}}, HHI, "seeds"),
+        ({"train": {"em_max_iters": "3"}}, HHI, "em_max_iters"),
+        ({"train": {"em_tol": "x"}}, HHI, "em_tol"),
+        ({"train": {"weight_decay": "a"}}, HHI, "weight_decay"),
+        ({"train": {"cond_weight": None}}, HHI, "cond_weight"),
+        ({"train": {"val_fraction": 2.0}}, HHI, "val_fraction"),
+        ({"split_seed": "x"}, HHI, "split_seed"),
+        ({"dataset_seed": "x"}, HHI, "dataset.seed"),
+        ({"seeds": 5}, ["eval"], "seeds"),
+        ({"seeds": ["x"]}, ["eval"], "seeds"),
+        ({"seeds": []}, ["eval"], "seeds"),
+        ({"threads": "x"}, ["eval"], "threads"),
+        ({"contact_states": {"greet": []}}, ["eval"], "contact_states.greet"),
+        ({"contact_states": {"greet": [1]}, "reach_states": {"greet": [0, 1]}}, ["eval"],
+         "contact_states.greet"),
+        ({"contact_states": {"greet": [9]}}, ["eval"], "contact_states.greet"),
+        ({"dataset": "somedir"}, ["synth"], "dataset"),
     ],
     ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
          "epochs-float", "n-states-over-windows", "train-key", "hidden-int", "hidden-non-positive",
          "seeds-int", "em-max-iters-string", "em-tol-string", "weight-decay-string",
-         "cond-weight-null", "val-fraction-over-one", "split-seed-string", "dataset-seed-string"],
+         "cond-weight-null", "val-fraction-over-one", "split-seed-string", "dataset-seed-string",
+         "eval-seeds-int", "eval-seeds-string", "eval-seeds-empty", "eval-threads-string",
+         "eval-empty-contact-states", "eval-overlapping-states", "eval-state-out-of-range",
+         "synth-dataset-directory"],
 )
-def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, args, field):
+def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, command, field):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(_small_config(**changes)))
-    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "train-hhi", *args]
-    assert main(argv) == 2
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *command]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
 

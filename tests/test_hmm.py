@@ -6,7 +6,7 @@ import pytest
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import Gaussian, log_pdf, regularize_spd
+from comotion.gauss import Gaussian, log_pdf
 from comotion.hmm import (
     Hmm,
     TransitionStateModel,
@@ -78,7 +78,7 @@ def test_forward_matches_path_enumeration():
         h = random_hmm(rng, 2, 1)
         obs = rng.standard_normal((3, 2))
         expected = enumeration_alpha(h, obs)
-        got = forward(h, obs).values
+        got = forward(h, obs)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -86,15 +86,15 @@ def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(1)
     h = random_hmm(rng, 4, 2)
     alpha = forward(h, rng.standard_normal((30, 4)))
-    np.testing.assert_allclose(alpha.values.sum(axis=1), np.ones(30), atol=1e-9)
-    assert np.all(alpha.values >= 0)
+    np.testing.assert_allclose(alpha.sum(axis=1), np.ones(30), atol=1e-9)
+    assert np.all(alpha >= 0)
 
 
 def test_forward_blocks():
     rng = np.random.default_rng(2)
     h = random_hmm(rng, 3, 2)
-    assert forward(h, rng.standard_normal((5, 2)), "h").values.shape == (5, 3)
-    assert forward(h, rng.standard_normal((5, 2)), "r").values.shape == (5, 3)
+    assert forward(h, rng.standard_normal((5, 2)), "h").shape == (5, 3)
+    assert forward(h, rng.standard_normal((5, 2)), "r").shape == (5, 3)
     with pytest.raises(ValueError, match="width"):
         forward(h, rng.standard_normal((5, 3)), "h")
 
@@ -103,10 +103,10 @@ def test_forward_step_matches_batch():
     rng = np.random.default_rng(3)
     h = random_hmm(rng, 3, 2)
     obs = rng.standard_normal((6, 2))
-    batch = forward(h, obs, "h").values
+    batch = forward(h, obs, "h")
     la = None
     for t in range(6):
-        alpha_t, la = forward_step(h, obs[t], la, "h")
+        alpha_t, la = forward_step(h, state_log_liks(h, obs[t : t + 1], "h")[0], la)
         np.testing.assert_allclose(alpha_t, batch[t], atol=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_forward_unobserved_initialization():
 def test_forward_unobserved_matches_matrix_power():
     rng = np.random.default_rng(5)
     h = random_hmm(rng, 4, 1)
-    bar = forward_unobserved(h, 6).values
+    bar = forward_unobserved(h, 6)
     expected = h.pi.copy()
     np.testing.assert_allclose(bar[0], expected, atol=1e-12)
     for t in range(1, 6):
@@ -145,7 +145,7 @@ def test_forward_unobserved_identity_transitions():
     rng = np.random.default_rng(6)
     h = random_hmm(rng, 3, 1)
     h.trans = np.eye(3)
-    bar = forward_unobserved(h, 10).values
+    bar = forward_unobserved(h, 10)
     for t in range(10):
         np.testing.assert_allclose(bar[t], h.pi, atol=1e-12)
 
@@ -283,7 +283,7 @@ def test_occupancy_matches_per_sequence_forward():
     hmm = random_hmm(rng, 4, 2)
     seqs, _ = sample_hmm_sequences(hmm, rng, 5, 60)
     seqs = [s[:n] for s, n in zip(seqs, (60, 23, 2, 41, 59))]
-    expected = np.mean([forward(hmm, s).values.mean(axis=0) for s in seqs], axis=0)
+    expected = np.mean([forward(hmm, s).mean(axis=0) for s in seqs], axis=0)
     np.testing.assert_allclose(occupancy(hmm, seqs), expected, rtol=0, atol=1e-12)
 
 
@@ -333,23 +333,21 @@ def test_gmr_single_component_point_mode_equals_exact():
     for _ in range(10):
         h = random_hmm(rng, 1, 3)
         z = rng.standard_normal(3)
-        post = Gaussian(z, np.diag(rng.uniform(0.1, 1.0, 3)))
-        got = gmr_condition(h, post, np.ones(1), "point")
+        mean, cov = gmr_condition(h, z, None, np.ones(1))
         want = condition_exact(h, 0, z)
-        np.testing.assert_allclose(got.mean, want.mean, atol=1e-9)
-        np.testing.assert_allclose(got.cov, want.cov, atol=1e-9)
+        np.testing.assert_allclose(mean, want.mean, atol=1e-9)
+        np.testing.assert_allclose(cov, want.cov, atol=1e-9)
 
 
 def test_gmr_concentrated_weight_selects_component():
     rng = np.random.default_rng(15)
     h = random_hmm(rng, 4, 2)
     z = rng.standard_normal(2)
-    post = Gaussian(z, 0.2 * np.eye(2))
     alpha = np.array([0.0, 0.0, 1.0, 0.0])
-    got = gmr_condition(h, post, alpha, "point")
+    mean, cov = gmr_condition(h, z, None, alpha)
     want = condition_exact(h, 2, z)
-    np.testing.assert_allclose(got.mean, want.mean, atol=1e-9)
-    np.testing.assert_allclose(got.cov, want.cov, atol=1e-9)
+    np.testing.assert_allclose(mean, want.mean, atol=1e-9)
+    np.testing.assert_allclose(cov, want.cov, atol=1e-9)
 
 
 def test_gmr_with_cov_converges_to_point_mode():
@@ -357,10 +355,10 @@ def test_gmr_with_cov_converges_to_point_mode():
     h = random_hmm(rng, 3, 2)
     z = rng.standard_normal(2)
     alpha = np.array([0.2, 0.5, 0.3])
-    point = gmr_condition(h, Gaussian(z, np.eye(2)), alpha, "point")
-    near = gmr_condition(h, Gaussian(z, 1e-8 * np.eye(2)), alpha, "with_cov")
-    np.testing.assert_allclose(near.mean, point.mean, atol=1e-6)
-    np.testing.assert_allclose(near.cov, point.cov, atol=1e-6)
+    point = gmr_condition(h, z, None, alpha)
+    near = gmr_condition(h, z, np.full(2, 1e-8), alpha)
+    np.testing.assert_allclose(near[0], point[0], atol=1e-6)
+    np.testing.assert_allclose(near[1], point[1], atol=1e-6)
 
 
 def test_gmr_mixture_mean_identity():
@@ -368,22 +366,22 @@ def test_gmr_mixture_mean_identity():
     h = random_hmm(rng, 5, 2)
     z = rng.standard_normal(2)
     alpha = rng.dirichlet(np.ones(5))
-    got = gmr_condition(h, Gaussian(z, np.eye(2)), alpha, "point")
+    mean, _ = gmr_condition(h, z, None, alpha)
     expected = np.zeros(2)
     for i in range(5):
         expected += alpha[i] * condition_exact(h, i, z).mean
-    np.testing.assert_allclose(got.mean, expected, atol=1e-12)
+    np.testing.assert_allclose(mean, expected, atol=1e-12)
 
 
 def test_gmr_output_cov_spd():
+    """The raw mixture covariance is positive definite without repair."""
     rng = np.random.default_rng(18)
     for _ in range(20):
         h = random_hmm(rng, 3, 2, spread=3.0)
         z = rng.standard_normal(2)
         alpha = rng.dirichlet(np.ones(3))
-        post = Gaussian(z, np.diag(rng.uniform(0.01, 2.0, 2)))
-        out = gmr_condition(h, post, alpha, "with_cov")
-        np.linalg.cholesky(out.cov)
+        _, cov = gmr_condition(h, z, rng.uniform(0.01, 2.0, 2), alpha)
+        np.linalg.cholesky(cov)
 
 
 def gmr_reference_loop(hmm, point, post_var, alpha):
@@ -435,22 +433,11 @@ def test_conditional_moments_matches_reference_loop():
 def test_gmr_condition_matches_reference_loop(mode):
     h, points, var, alphas = _conditioning_case(24)
     for b in range(points.shape[0]):
-        got = gmr_condition(h, Gaussian.diagonal(points[b], var[b]), alphas[b], mode)
-        ref_mean, ref_cov = gmr_reference_loop(
-            h, points[b], var[b] if mode == "with_cov" else None, alphas[b]
-        )
-        np.testing.assert_allclose(got.mean, ref_mean, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(got.cov, regularize_spd(ref_cov, flat=False), rtol=0, atol=1e-10)
-
-
-def test_gmr_with_cov_rejects_a_full_posterior_covariance():
-    rng = np.random.default_rng(25)
-    h = random_hmm(rng, 3, 2)
-    post = Gaussian(np.zeros(2), np.array([[1.0, 0.2], [0.2, 1.0]]))
-    alpha = np.full(3, 1.0 / 3.0)
-    with pytest.raises(ValueError, match="diagonal"):
-        gmr_condition(h, post, alpha, "with_cov")
-    gmr_condition(h, post, alpha, "point")  # point mode reads only the mean
+        post_var = var[b] if mode == "with_cov" else None
+        mean, cov = gmr_condition(h, points[b], post_var, alphas[b])
+        ref_mean, ref_cov = gmr_reference_loop(h, points[b], post_var, alphas[b])
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +457,9 @@ def test_non_finite_observation_is_a_value_error(entry, bad):
             state_log_liks(h, obs)
         elif entry == "forward":
             forward(h, obs)
-        elif entry == "forward_step":
-            _, la = forward_step(h, obs[0], None)
-            forward_step(h, obs[8], la)
+        elif entry == "forward_step":  # the online step, as reactive_step runs it
+            _, la = forward_step(h, state_log_liks(h, obs[:1])[0], None)
+            forward_step(h, state_log_liks(h, obs[8:9])[0], la)
         else:
             em_fit(h, [obs[:6], obs[6:]], max_iters=3)
 
@@ -491,45 +478,53 @@ def gate_setup():
     return h, tsm
 
 
+def gate_at(h, tsm, alpha, z_h, prev=False):
+    """``contact_gate`` given the h-block emission row at ``z_h``, as
+    ``reactive_step`` calls it."""
+    return contact_gate(alpha, state_log_liks(h, z_h[None], "h")[0], tsm, z_h, prev=prev)
+
+
 def test_gate_stays_off_in_reach(gate_setup):
-    _, tsm = gate_setup
     alpha = np.array([0.9, 0.1, 0.0, 0.0])
-    assert contact_gate(alpha, tsm, np.array([-5.0, -5.0]), prev=False) is False
+    assert gate_at(*gate_setup, alpha, np.array([-5.0, -5.0])) is False
 
 
 def test_gate_fires_on_contact_alpha(gate_setup):
-    _, tsm = gate_setup
     alpha = np.array([0.0, 0.0, 1.0, 0.0])
-    assert contact_gate(alpha, tsm, np.zeros(2), prev=False) is True
+    assert gate_at(*gate_setup, alpha, np.zeros(2)) is True
 
 
 def test_gate_fires_on_transition_density(gate_setup):
-    _, tsm = gate_setup
     alpha = np.array([0.9, 0.1, 0.0, 0.0])
-    assert contact_gate(alpha, tsm, np.array([3.0, 3.0]), prev=False) is True
+    assert gate_at(*gate_setup, alpha, np.array([3.0, 3.0])) is True
 
 
 def test_gate_latches(gate_setup):
-    _, tsm = gate_setup
     reach_alpha = np.array([1.0, 0.0, 0.0, 0.0])
-    assert contact_gate(reach_alpha, tsm, np.array([-5.0, -5.0]), prev=True) is True
+    assert gate_at(*gate_setup, reach_alpha, np.array([-5.0, -5.0]), prev=True) is True
 
 
-def test_gate_empty_contact_states_never_fires():
+def test_tsm_rejects_empty_contact_states():
     rng = np.random.default_rng(21)
     h = random_hmm(rng, 3, 2)
-    tsm = TransitionStateModel.for_hmm(h, set(), {0, 1, 2})
-    assert contact_gate(np.array([0, 0, 1.0]), tsm, np.zeros(2), prev=False) is False
+    with pytest.raises(ValueError, match="contact state set must not be empty"):
+        TransitionStateModel.for_hmm(h, set(), {0, 1, 2})
+
+
+def test_tsm_rejects_states_outside_the_model():
+    rng = np.random.default_rng(21)
+    h = random_hmm(rng, 3, 2)
+    with pytest.raises(ValueError, match="outside"):
+        TransitionStateModel.for_hmm(h, {3}, {0})
 
 
 def test_gate_monotone_over_trajectory(gate_setup):
     rng = np.random.default_rng(22)
-    _, tsm = gate_setup
     prev = False
     seen_true = False
     for _ in range(50):
         alpha = rng.dirichlet(np.ones(4))
-        fired = contact_gate(alpha, tsm, rng.standard_normal(2), prev=prev)
+        fired = gate_at(*gate_setup, alpha, rng.standard_normal(2), prev=prev)
         if seen_true:
             assert fired
         seen_true = seen_true or fired

@@ -45,7 +45,7 @@ def untrained(dataset, trained):
 def test_reactive_step_gate_off_returns_decoded_prediction(trained):
     pair_window = np.zeros(90)
     out, state = reactive_step(trained, "greet", pair_window, None, None, ReactiveState())
-    expected_window = decode(trained.robot_vae, out.latent_r.mean)
+    expected_window = decode(trained.robot_vae, out.latent_mean)
     np.testing.assert_array_equal(out.q_cmd, expected_window[-4:])
     assert not out.stiffness_low and not out.ik_used
     assert state.t == 1
@@ -109,8 +109,10 @@ def test_rollout_alpha_converges_to_stationary_distribution(trained):
 
     x = window_features(frames, 5, "positions")[-1]
     mu, _, _, _ = encode_batch(trained.human_vae, x[None, :])
+    d = hmm.d_z
     liks = np.exp(
-        [log_pdf(hmm.marginal(i, "h"), mu[0]) for i in range(hmm.n_states)]
+        [log_pdf(Gaussian(hmm.means[i, :d], hmm.covs[i, :d, :d]), mu[0])
+         for i in range(hmm.n_states)]
     )
     alpha = np.full(hmm.n_states, 1.0 / hmm.n_states)
     for _ in range(2000):  # power iteration on the effective operator
@@ -161,8 +163,8 @@ def test_mode_consistency_v32_inference_uses_posterior_covariance(trained):
     mean, cov = conditional_moments(
         trained.hmms["greet"][0], mu, var, out.alpha_t[None, :]
     )
-    np.testing.assert_allclose(out.latent_r.mean, mean[0], atol=1e-12)
-    np.testing.assert_allclose(out.latent_r.cov, cov[0], atol=1e-12)
+    np.testing.assert_allclose(out.latent_mean, mean[0], atol=1e-12)
+    np.testing.assert_allclose(out.latent_cov, cov[0], atol=1e-12)
 
 
 def test_rollout_commands_equal_batched_conditional_predictions(dataset, trained):

@@ -1,10 +1,13 @@
 """Every module-level function and class in src/comotion, and every method
 and property of those classes other than dunders, has a user.
 
-A user is a ``Name`` or ``Attribute`` node naming it in src/comotion/*.py or
-bench/*.py, or a string constant in bench/*.py, because the benchmark's
-tracer looks functions up by name. Tests do not count: a helper that only
-tests call belongs in the test file that uses it.
+A user of a module-level definition is a ``Name`` or ``Attribute`` node
+naming it in src/comotion/*.py or bench/*.py. A method or property is only
+ever reached through an attribute (``x.name``), so only an ``Attribute``
+node counts for it: a local variable or argument of the same name does not.
+For both, a string constant in bench/*.py counts too, because the
+benchmark's tracer looks functions up by name. Tests do not count: a helper
+that only tests call belongs in the test file that uses it.
 """
 
 import ast
@@ -20,29 +23,31 @@ def _trees(directory: str) -> dict[str, ast.Module]:
 def test_every_module_level_definition_has_a_user():
     src = _trees("src/comotion")
     bench = _trees("bench")
-    names = set()
+    names, attributes = set(), set()
     for tree in [*src.values(), *bench.values()]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
     for tree in bench.values():
-        names.update(
+        attributes.update(
             node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         )
-    defined = []
+    unused = []
     for module, tree in src.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{module}.{node.name}", node.name))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in names | attributes:
+                unused.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                defined += [
-                    (f"{module}.{node.name}.{item.name}", item.name)
+                unused += [
+                    f"{module}.{node.name}.{item.name}"
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in attributes
                 ]
-    unused = [qualified for qualified, name in defined if name not in names]
     assert not unused, f"nothing in src/comotion or bench/ uses {unused}"

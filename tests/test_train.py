@@ -57,7 +57,7 @@ def test_initial_hmm_is_zero_mean_identity():
         np.testing.assert_array_equal(c, np.eye(10))
     # with identical components the first-epoch prior is standard normal
     bar = forward_unobserved(h, 10)
-    assert np.allclose(bar.values, 1.0 / 6.0)
+    assert np.allclose(bar, 1.0 / 6.0)
 
 
 def test_occupancy_guard_keeps_a_healthy_refit_and_replaces_a_collapsed_one(caplog):
@@ -338,8 +338,15 @@ def test_checkpoint_keeps_state_sets_only_in_transition_model(tmp_path, hhi_bund
     entry = doc["interactions"]["greet"]
     assert "contact_states" not in entry and "reach_states" not in entry
     assert entry["transition_model"]["contact_states"] == [2]
-    # a checkpoint that still carries the old top-level copies loads alike
+    assert "reach_marginals" not in entry["transition_model"]
+    # a checkpoint that still carries the old top-level copies, or the old
+    # copy of the reach states' h-block marginals, loads alike
     entry["contact_states"], entry["reach_states"] = [2], [0, 1]
+    entry["transition_model"]["reach_marginals"] = [
+        {"mean": hmm_c.means[i, : hmm_c.d_z].tolist(),
+         "cov": hmm_c.covs[i, : hmm_c.d_z, : hmm_c.d_z].tolist()}
+        for i in (0, 1)
+    ]
     path.write_text(json.dumps(doc))
     _, loaded = load_bundle(path).hmms["greet"]
     assert loaded.contact_states == {2} and loaded.reach_states == {0, 1}

@@ -218,7 +218,7 @@ def test_hri_v1_equals_independent_recomputation(hri_setup):
         for s in range(k):
             z = mu[b] + np.sqrt(var[b]) * eps["r"][b, s]
             recon += float(np.mean((decode(vr, z) - x_r[b]) ** 2))
-        q = Gaussian.diagonal(mu[b], var[b])
+        q = Gaussian(mu[b], np.diag(var[b]))
         p = Gaussian(pack_r.means[idx[b]], np.linalg.inv(pack_r.precs[idx[b]]))
         kl += kl_divergence(q, p)
     expected = recon / (B * k) + beta * kl / B
@@ -278,7 +278,7 @@ def test_variant_tags_and_flags():
     assert Variant("v2.1").from_samples and not Variant("v2.1").uses_cov
     assert Variant("v2.2").from_samples and Variant("v2.2").uses_cov
     assert not Variant("v3.1").from_samples and not Variant("v3.1").uses_cov
-    assert Variant("v3.2").uses_cov and Variant("v3.2").conditioning_mode == "with_cov"
+    assert Variant("v3.2").uses_cov
     with pytest.raises(ConfigError, match="variant"):
         Variant("v4")
 
