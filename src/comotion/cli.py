@@ -119,8 +119,10 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     bundle = load_bundle(args.model)
     ds = load_dataset(args.data)
-    if args.index >= len(ds.pairs):
-        raise DataError(f"trajectory index {args.index} out of range ({len(ds.pairs)})")
+    if not 0 <= args.index < len(ds.pairs):
+        raise DataError(
+            f"trajectory index {args.index} outside 0..{len(ds.pairs) - 1} of {args.data}"
+        )
     pair = ds.pairs[args.index]
     chain = load_chain(args.chain) if args.chain else default_arm_chain()
     weights = np.array([0.1, 0.2, 0.3, 0.4]) if args.smooth else None

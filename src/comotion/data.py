@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -130,16 +131,47 @@ class SynthSpec:
     rate: float = 20.0
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        """Spec of a ``synth`` config entry; an unknown interaction key is a
-        ConfigError naming it."""
+    def from_dict(cls, d) -> "SynthSpec":
+        """Spec of a ``synth`` config entry; an unknown interaction key or a
+        malformed value is a ConfigError naming the field, such as
+        ``synth.rate`` or ``synth.interactions.0.n_traj``."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"config field synth must be an object, got {d!r}")
+        entries = config_field(d, "interactions", [{}], "synth.interactions",
+                               "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
         inter = []
-        for i in d.get("interactions", [{}]):
-            unknown = sorted(set(i) - set(SynthInteraction.__dataclass_fields__))
+        for k, entry in enumerate(entries):
+            name = f"synth.interactions.{k}"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"config field {name} must be an object, got {entry!r}")
+            unknown = sorted(set(entry) - set(_INTERACTION_RULES))
             if unknown:
                 raise ConfigError(f"config field synth.interactions: unknown keys {unknown}")
-            inter.append(SynthInteraction(**i))
-        return cls(tuple(inter), float(d.get("rate", 20.0)))
+            for key, (what, ok) in _INTERACTION_RULES.items():
+                config_field(entry, key, getattr(SynthInteraction, key), f"{name}.{key}", what, ok)
+            inter.append(SynthInteraction(**entry))
+        rate = config_field(d, "rate", 20.0, "synth.rate", "a positive number",
+                            lambda v: isinstance(v, _NUM) and v > 0)
+        return cls(tuple(inter), float(rate))
+
+
+_INT, _NUM = numbers.Integral, numbers.Real
+_INTERACTION_RULES = {  # SynthInteraction field: (what it must be, its test)
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "n_traj": ("a positive integer", lambda v: isinstance(v, _INT) and v > 0),
+    # the phase profile divides by zero below 3 frames
+    "length": ("an integer of at least 3", lambda v: isinstance(v, _INT) and v >= 3),
+    "noise": ("a non-negative number", lambda v: isinstance(v, _NUM) and v >= 0),
+}
+
+
+def config_field(entry: dict, key: str, default, name: str, what: str, ok):
+    """``entry[key]``, or ``default`` when absent; a ConfigError naming the
+    field ``name`` unless ``ok(value)``."""
+    value = entry.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+    return value
 
 
 _REST = {"elbow": np.array([0.02, -0.09, -0.26]), "wrist": np.array([0.04, -0.08, -0.52])}

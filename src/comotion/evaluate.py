@@ -22,7 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, SynthSpec, load_dataset, pair_features, split, synth_generate
+from comotion.data import (
+    Dataset,
+    SynthSpec,
+    config_field,
+    load_dataset,
+    pair_features,
+    split,
+    synth_generate,
+)
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.hmm import TransitionStateModel
 from comotion.infer import conditional_predictions
@@ -153,6 +161,8 @@ def load_config(path: str | Path) -> dict:
             config = json.load(f)
     except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"malformed config {path}: {exc}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"unreadable config {path}: {exc.strerror}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"malformed config {path}: not a JSON object")
     return config
@@ -168,27 +178,18 @@ def load_experiment_dataset(config: dict) -> Dataset:
         ds = load_dataset(src)
     elif isinstance(src, dict) and "synth" in src:
         spec = SynthSpec.from_dict(src["synth"])
-        seed = _field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
+        seed = config_field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
         ds = synth_generate(spec, np.random.default_rng(seed))
     else:
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
-    fraction = _field(config, "split_fraction", 0.8, "split_fraction", "in (0, 1)",
-                      lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0)
-    split_seed = _field(config, "split_seed", 0, "split_seed", "an integer", _is_int)
+    fraction = config_field(config, "split_fraction", 0.8, "split_fraction", "in (0, 1)",
+                            lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0)
+    split_seed = config_field(config, "split_seed", 0, "split_seed", "an integer", _is_int)
     return split(ds, float(fraction), int(split_seed))
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral)
-
-
-def _field(entry: dict, key: str, default, name: str, what: str, ok):
-    """``entry[key]``, or ``default`` when absent; a ConfigError naming the
-    field ``name`` unless ``ok(value)``."""
-    value = entry.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"config field {name} must be {what}, got {value!r}")
-    return value
 
 
 def evaluate_bundle(
@@ -283,10 +284,10 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     for tag in config.get("variants", ["v1"]):
         Variant(tag)
     state_sets_from_config(config)
-    seeds = _field(config, "seeds", [0], "seeds", "a non-empty list of integers",
-                   lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
-    threads = _field(config, "threads", 1, "threads", "a positive integer",
-                     lambda v: _is_int(v) and v > 0)
+    seeds = config_field(config, "seeds", [0], "seeds", "a non-empty list of integers",
+                         lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
+    threads = config_field(config, "threads", 1, "threads", "a positive integer",
+                           lambda v: _is_int(v) and v > 0)
     out_dir = Path(out_dir or config.get("out", "experiment_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [{"config": config, "seed": s, "out_dir": str(out_dir)} for s in seeds]

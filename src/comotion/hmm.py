@@ -12,7 +12,7 @@ emission densities of a block; ``forward`` and ``forward_unobserved``
 return the (T, N) forward variable; the online ``forward_step`` takes one
 (N,) row of emission densities, so a caller that also needs the densities,
 as the contact gate does, computes them once. ``gmr_condition`` returns the
-raw conditional (mean, cov) of the r block.
+conditional mean of the r block, the only moment the reactive step decodes.
 
 Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
@@ -21,8 +21,11 @@ log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
 padded to the longest, as ``occupancy`` runs its forward pass. Emission
 densities factor all state covariances with one stacked Cholesky per call;
 the factors are not cached on the model, which ``em_fit`` updates in place.
-Mixture conditioning has one path, the batched ``conditional_moments``;
-``gmr_condition`` runs it with a batch of one.
+Mixture conditioning is batched, with a single step as a batch of one.
+``conditional_means`` serves every caller that reads only the mean: the
+reactive step through ``gmr_condition``, whole-trajectory prediction and
+the v2 training latents. ``conditional_moments`` adds the mixture
+covariance, which only the v3 training latents sample from.
 """
 
 from __future__ import annotations
@@ -343,18 +346,46 @@ def gmr_condition(
     mu: np.ndarray,
     post_var: np.ndarray | None,
     alpha_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Condition the r block on one h-block point ``mu`` (d_z,), mixed by
-    ``alpha_t``; ``conditional_moments`` with a batch of one.
+) -> np.ndarray:
+    """Conditional mean (d_r,) of the r block given one h-block point ``mu``
+    (d_z,), mixed by ``alpha_t``; ``conditional_means`` with a batch of one.
 
     ``post_var`` (d_z,), the encoder's diagonal posterior variance, is added
     to the h-block covariance in the gain, i.e. conditions on a noisy
-    observation; None treats ``mu`` as exact. Returns the raw (mean (d_r,),
-    cov (d_r, d_r)).
+    observation; None treats ``mu`` as exact.
     """
     post_var = None if post_var is None else post_var[None]
-    means, covs = conditional_moments(hmm, mu[None], post_var, alpha_t[None])
-    return means[0], covs[0]
+    return conditional_means(hmm, mu[None], post_var, alpha_t[None])[0]
+
+
+def conditional_means(
+    hmm: Hmm,
+    points: np.ndarray,
+    post_var: np.ndarray | None,
+    alphas: np.ndarray,
+) -> np.ndarray:
+    """(B, d_r) mixture means of ``conditional_moments`` without the
+    covariance: each state's gain is solved against ``points - mu_h`` alone.
+
+    Same arguments as ``conditional_moments``; NumericalError on a singular
+    gain.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    d_z = hmm.d_z
+    s_hr = hmm.covs[:, :d_z, d_z:]
+    diff = points[:, None, :] - hmm.means[None, :, :d_z]  # (B, N, d_z)
+    gain_base = hmm.covs[:, :d_z, :d_z]
+    if post_var is not None:
+        post_var = np.asarray(post_var, dtype=np.float64)
+        gain_base = gain_base + post_var[:, None, :, None] * np.eye(d_z)
+    try:
+        sol = np.linalg.solve(gain_base, diff[..., None])[..., 0]  # (B, N, d_z)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular conditioning matrix") from None
+    # sum_i alpha_i (mu_r_i + s_rh_i sol_i), with s_rh_i sol_i = s_hr_i^T sol_i
+    weighted = (alphas[:, :, None] * sol).reshape(points.shape[0], -1)
+    return alphas @ hmm.means[:, d_z:] + weighted @ s_hr.reshape(-1, s_hr.shape[-1])
 
 
 def conditional_moments(

@@ -9,9 +9,10 @@ latches: once a trajectory enters its contact phase it never drops back.
 
 The step passes plain arrays and computes each quantity once: the encoder's
 (mu, var), one row of h-block emission log-densities that both the forward
-step and the gate's reach-state test read, and the raw conditional (mean,
-cov) of ``gmr_condition``. ``conditional_predictions`` runs the same
-encode, forward and conditioning over a whole trajectory at once.
+step and the gate's reach-state test read, and the conditional mean of
+``gmr_condition``; the mixture covariance, which nothing here reads, is
+never formed. ``conditional_predictions`` runs the same encode, forward and
+conditioning over a whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from comotion.errors import ConfigError
 from comotion.hmm import (
     Hmm,
-    conditional_moments,
+    conditional_means,
     contact_gate,
     forward,
     forward_step,
@@ -51,7 +52,6 @@ class StepOutput:
     stiffness_low: bool
     alpha_t: np.ndarray
     latent_mean: np.ndarray  # (d_z,) conditional mean of the r block
-    latent_cov: np.ndarray  # (d_z, d_z) its raw mixture covariance
     ik_used: bool = False
 
 
@@ -77,7 +77,7 @@ def reactive_step(
     log_lik = state_log_liks(hmm, mu, "h")[0]
     alpha_t, log_alpha = forward_step(hmm, log_lik, state.log_alpha)
     post_var = var[0] if bundle.config.variant.uses_cov else None
-    latent_mean, latent_cov = gmr_condition(hmm, mu[0], post_var, alpha_t)
+    latent_mean = gmr_condition(hmm, mu[0], post_var, alpha_t)
     window = decode(v_r, latent_mean)
     n_r = v_r.input_dim // bundle.config.window
     q_raw = window[-n_r:]
@@ -96,7 +96,7 @@ def reactive_step(
         buffer = (buffer + [q_cmd])[-len(smooth_weights) :]
         w = np.asarray(smooth_weights, dtype=np.float64)[-len(buffer) :]
         q_cmd = (w[:, None] * np.asarray(buffer)).sum(axis=0) / w.sum()
-    out = StepOutput(q_cmd, fired, alpha_t, latent_mean, latent_cov, ik_used)
+    out = StepOutput(q_cmd, fired, alpha_t, latent_mean, ik_used)
     return out, ReactiveState(log_alpha, fired, buffer, state.t + 1)
 
 
@@ -160,5 +160,4 @@ def conditional_predictions(
     mu, var, _, _ = encode_batch(v_h, x_h_windows)
     alpha = forward(hmm, mu, "h")
     post_var = var if variant.uses_cov else None
-    means, _ = conditional_moments(hmm, mu, post_var, alpha)
-    return decode(v_r, means), alpha
+    return decode(v_r, conditional_means(hmm, mu, post_var, alpha)), alpha

@@ -498,6 +498,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             doc = json.load(f)
     except ValueError as exc:  # not JSON, or not text
         raise ConfigError(f"malformed model file {path}: {exc}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"unreadable model file {path}: {exc.strerror}") from None
     bad = _non_finite_path(doc)
     if bad is not None:
         bad = ".".join(map(str, bad))

@@ -30,7 +30,7 @@ import numpy as np
 
 from comotion.errors import ConfigError
 from comotion.gauss import cholesky_or_raise, regularize_spd
-from comotion.hmm import Hmm, conditional_moments
+from comotion.hmm import Hmm, conditional_means, conditional_moments
 from comotion.net import Mlp, mlp_backward, mlp_forward
 
 VAR_MIN = 1e-8
@@ -350,8 +350,7 @@ def conditional_latents(
         flat = z_h.reshape(B * k, -1)
         var_rep = np.repeat(var_h, k, axis=0) if variant.uses_cov else None
         alpha_rep = np.repeat(alphas, k, axis=0)
-        means, _ = conditional_moments(hmm, flat, var_rep, alpha_rep)
-        return means.reshape(B, k, -1)
+        return conditional_means(hmm, flat, var_rep, alpha_rep).reshape(B, k, -1)
     if pre is None:
         pre = conditional_precompute(hmm, mu_h, var_h, alphas, variant)
     return pre.mean[:, None, :] + np.einsum("bij,bkj->bki", pre.chol, eps_cond)

@@ -139,6 +139,8 @@ def _small_config(**changes):
     for key, value in changes.items():
         if key == "interaction":
             config["dataset"]["synth"]["interactions"][0].update(value)
+        elif key == "synth":
+            config["dataset"]["synth"].update(value)
         elif key == "dataset_seed":
             config["dataset"]["seed"] = value
         elif key == "train":
@@ -181,6 +183,12 @@ HHI = ["train-hhi"]
          "contact_states.greet"),
         ({"contact_states": {"greet": [9]}}, ["eval"], "contact_states.greet"),
         ({"dataset": "somedir"}, ["synth"], "dataset"),
+        ({"dataset": {"synth": 5}}, ["synth"], "field synth must"),
+        ({"synth": {"interactions": 5}}, ["synth"], "synth.interactions must"),
+        ({"synth": {"interactions": [5]}}, ["synth"], "synth.interactions.0 must"),
+        ({"synth": {"rate": "x"}}, ["synth"], "synth.rate"),
+        ({"interaction": {"n_traj": "x"}}, ["synth"], "synth.interactions.0.n_traj"),
+        ({"interaction": {"noise": "x"}}, ["synth"], "synth.interactions.0.noise"),
     ],
     ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
          "epochs-float", "n-states-over-windows", "train-key", "hidden-int", "hidden-non-positive",
@@ -188,7 +196,9 @@ HHI = ["train-hhi"]
          "cond-weight-null", "val-fraction-over-one", "split-seed-string", "dataset-seed-string",
          "eval-seeds-int", "eval-seeds-string", "eval-seeds-empty", "eval-threads-string",
          "eval-empty-contact-states", "eval-overlapping-states", "eval-state-out-of-range",
-         "synth-dataset-directory"],
+         "synth-dataset-directory", "synth-int", "synth-interactions-int",
+         "synth-interaction-int", "synth-rate-string", "synth-n-traj-string",
+         "synth-noise-string"],
 )
 def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, command, field):
     cfg = tmp_path / "c.json"
@@ -205,13 +215,46 @@ def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, 
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{no_limits}"], "no_limits.json"),
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--prior", "0", "0"], "--prior"),
         (["inspect-hmm", "--model", "{missing}", "--horizon", "0"], "--horizon"),
+        (["rollout", "--model", "{directory}", "--data", "{missing}"], "a_directory"),
+        (["--config", "{config}", "train-hri", "--hhi", "{directory}"], "a_directory"),
+        (["--config", "{directory}", "eval"], "a_directory"),
     ],
-    ids=["chain-missing", "chain-without-limits", "prior-width", "horizon-zero"],
+    ids=["chain-missing", "chain-without-limits", "prior-width", "horizon-zero",
+         "rollout-model-directory", "hhi-model-directory", "config-directory"],
 )
 def test_bad_cli_argument_is_exit_2(tmp_path, capsys, argv, named):
     no_limits = tmp_path / "no_limits.json"
     no_limits.write_text(json.dumps({"joints": [{"axis": [0.0, 0.0, 1.0]}]}))
-    paths = {"missing": tmp_path / "missing.json", "no_limits": no_limits}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_small_config()))
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    paths = {"missing": tmp_path / "missing.json", "no_limits": no_limits, "config": config,
+             "directory": directory}
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A 4-trajectory dataset and a stage-one model trained on it."""
+    root = tmp_path_factory.mktemp("small")
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps(_small_config()))
+    assert main(["--config", str(cfg), "--out", str(root / "ds"), "synth"]) == 0
+    hhi = ["--config", str(cfg), "--out", str(root / "hhi"), "train-hhi", "--data", str(root / "ds")]
+    assert main(hhi) == 0
+    return root / "ds", root / "hhi" / "model.json"
+
+
+@pytest.mark.parametrize("index, code", [("-1", 3), ("-1000", 3), ("4", 3), ("3", 0)])
+def test_rollout_index_outside_the_dataset_is_exit_3(small_model, tmp_path, capsys, index, code):
+    ds, model = small_model
+    argv = ["rollout", "--model", str(model), "--data", str(ds), f"--index={index}"]
+    assert main(["--out", str(tmp_path / "roll.csv"), *argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 3:
+        assert f"index {index} outside 0..3" in err

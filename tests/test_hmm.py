@@ -10,6 +10,7 @@ from comotion.gauss import Gaussian, log_pdf
 from comotion.hmm import (
     Hmm,
     TransitionStateModel,
+    conditional_means,
     conditional_moments,
     contact_gate,
     em_fit,
@@ -328,12 +329,19 @@ def test_condition_exact_matches_dense_solve_oracle():
         np.testing.assert_allclose(g.cov, s_rr - s_rh @ inv @ s_hr, atol=1e-10)
 
 
+def moments_of_one(hmm, z, post_var, alpha):
+    """``conditional_moments`` at a batch of one: (mean (d_r,), cov (d_r, d_r))."""
+    post_var = None if post_var is None else post_var[None]
+    means, covs = conditional_moments(hmm, z[None], post_var, alpha[None])
+    return means[0], covs[0]
+
+
 def test_gmr_single_component_point_mode_equals_exact():
     rng = np.random.default_rng(14)
     for _ in range(10):
         h = random_hmm(rng, 1, 3)
         z = rng.standard_normal(3)
-        mean, cov = gmr_condition(h, z, None, np.ones(1))
+        mean, cov = moments_of_one(h, z, None, np.ones(1))
         want = condition_exact(h, 0, z)
         np.testing.assert_allclose(mean, want.mean, atol=1e-9)
         np.testing.assert_allclose(cov, want.cov, atol=1e-9)
@@ -344,7 +352,7 @@ def test_gmr_concentrated_weight_selects_component():
     h = random_hmm(rng, 4, 2)
     z = rng.standard_normal(2)
     alpha = np.array([0.0, 0.0, 1.0, 0.0])
-    mean, cov = gmr_condition(h, z, None, alpha)
+    mean, cov = moments_of_one(h, z, None, alpha)
     want = condition_exact(h, 2, z)
     np.testing.assert_allclose(mean, want.mean, atol=1e-9)
     np.testing.assert_allclose(cov, want.cov, atol=1e-9)
@@ -355,10 +363,10 @@ def test_gmr_with_cov_converges_to_point_mode():
     h = random_hmm(rng, 3, 2)
     z = rng.standard_normal(2)
     alpha = np.array([0.2, 0.5, 0.3])
-    point = gmr_condition(h, z, None, alpha)
-    near = gmr_condition(h, z, np.full(2, 1e-8), alpha)
-    np.testing.assert_allclose(near[0], point[0], atol=1e-6)
-    np.testing.assert_allclose(near[1], point[1], atol=1e-6)
+    point_mean, point_cov = moments_of_one(h, z, None, alpha)
+    near_mean, near_cov = moments_of_one(h, z, np.full(2, 1e-8), alpha)
+    np.testing.assert_allclose(near_mean, point_mean, atol=1e-6)
+    np.testing.assert_allclose(near_cov, point_cov, atol=1e-6)
 
 
 def test_gmr_mixture_mean_identity():
@@ -366,7 +374,7 @@ def test_gmr_mixture_mean_identity():
     h = random_hmm(rng, 5, 2)
     z = rng.standard_normal(2)
     alpha = rng.dirichlet(np.ones(5))
-    mean, _ = gmr_condition(h, z, None, alpha)
+    mean, _ = moments_of_one(h, z, None, alpha)
     expected = np.zeros(2)
     for i in range(5):
         expected += alpha[i] * condition_exact(h, i, z).mean
@@ -380,7 +388,7 @@ def test_gmr_output_cov_spd():
         h = random_hmm(rng, 3, 2, spread=3.0)
         z = rng.standard_normal(2)
         alpha = rng.dirichlet(np.ones(3))
-        _, cov = gmr_condition(h, z, rng.uniform(0.01, 2.0, 2), alpha)
+        _, cov = moments_of_one(h, z, rng.uniform(0.01, 2.0, 2), alpha)
         np.linalg.cholesky(cov)
 
 
@@ -434,10 +442,48 @@ def test_gmr_condition_matches_reference_loop(mode):
     h, points, var, alphas = _conditioning_case(24)
     for b in range(points.shape[0]):
         post_var = var[b] if mode == "with_cov" else None
-        mean, cov = gmr_condition(h, points[b], post_var, alphas[b])
-        ref_mean, ref_cov = gmr_reference_loop(h, points[b], post_var, alphas[b])
+        mean = gmr_condition(h, points[b], post_var, alphas[b])
+        ref_mean, _ = gmr_reference_loop(h, points[b], post_var, alphas[b])
+        assert mean.shape == ref_mean.shape
         np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["point", "with_cov"])
+def test_conditional_means_matches_reference_loop(mode):
+    """The batch of 7, zero weights included, and each row as a batch of one."""
+    h, points, var, alphas = _conditioning_case(19)
+    post_var = var if mode == "with_cov" else None
+    means = conditional_means(h, points, post_var, alphas)
+    assert means.shape == (points.shape[0], h.dim - h.d_z)
+    for b in range(points.shape[0]):
+        row_var = None if post_var is None else post_var[b]
+        ref_mean, _ = gmr_reference_loop(h, points[b], row_var, alphas[b])
+        np.testing.assert_allclose(means[b], ref_mean, rtol=0, atol=1e-10)
+        one = conditional_means(
+            h, points[b][None], None if row_var is None else row_var[None], alphas[b][None]
+        )
+        np.testing.assert_allclose(one[0], ref_mean, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["point", "with_cov"])
+def test_conditional_means_equal_conditional_moments_means(mode):
+    rng = np.random.default_rng(25)
+    h = random_hmm(rng, 6, 5, spread=2.0)
+    B = 40
+    points = 2.0 * rng.standard_normal((B, 5))
+    post_var = rng.uniform(0.01, 2.0, (B, 5)) if mode == "with_cov" else None
+    alphas = rng.dirichlet(np.ones(6), size=B)
+    want, _ = conditional_moments(h, points, post_var, alphas)
+    got = conditional_means(h, points, post_var, alphas)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("post_var", [None, np.zeros((1, 2))])
+def test_conditional_means_singular_gain_is_numerical_error(post_var):
+    h = random_hmm(np.random.default_rng(27), 2, 2)
+    h.covs[1, :2, :2] = 0.0
+    with pytest.raises(NumericalError, match="singular"):
+        conditional_means(h, np.zeros((1, 2)), post_var, np.array([[0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from comotion.errors import ConfigError, NumericalError
 from comotion.gauss import Gaussian
-from comotion.hmm import Hmm
+from comotion.hmm import Hmm, conditional_moments
 from comotion.net import AdamState, adam_step
 from comotion.train import TrainConfig
 from comotion.vae import (
@@ -271,6 +271,18 @@ def test_v2_conditions_samples_v3_conditions_mean(hri_setup):
     z2_mean = conditional_latents(hm, mu_h, var_h, alphas, Variant("v2.1"), zero_post, None)
     assert np.all(np.var(z2_mean, axis=1) < 1e-20)  # collapsed without sampling noise
     assert np.any(np.var(z2, axis=1) > 1e-6)
+
+
+@pytest.mark.parametrize("tag", ["v2.1", "v2.2"])
+def test_v2_latents_are_conditional_moments_means_of_the_samples(hri_setup, tag):
+    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    variant = Variant(tag)
+    z = conditional_latents(hm, mu_h, var_h, alphas, variant, eps["post"], None)
+    B, k, d_z = eps["post"].shape
+    samples = (mu_h[:, None, :] + np.sqrt(var_h)[:, None, :] * eps["post"]).reshape(B * k, d_z)
+    post_var = np.repeat(var_h, k, axis=0) if variant.uses_cov else None
+    want, _ = conditional_moments(hm, samples, post_var, np.repeat(alphas, k, axis=0))
+    np.testing.assert_allclose(z, want.reshape(B, k, -1), rtol=0, atol=1e-12)
 
 
 def test_variant_tags_and_flags():
