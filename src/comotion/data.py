@@ -294,18 +294,35 @@ def load_dataset(path: str | Path) -> Dataset:
             manifest = json.load(f)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {manifest_path}: {exc}") from None
+    bad = f"malformed manifest {manifest_path}: field"
+    entries = manifest.get("trajectories") if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list) and entries):
+        raise DataError(f"{bad} trajectories must be a non-empty list, got {entries!r}")
+    w, rate = manifest.get("w", 5), manifest.get("rate", 20.0)
+    if not (isinstance(w, _INT) and w > 0):
+        raise DataError(f"{bad} w must be a positive integer, got {w!r}")
+    if not (isinstance(rate, _NUM) and rate > 0):
+        raise DataError(f"{bad} rate must be a positive number, got {rate!r}")
     pairs = []
-    for entry in manifest["trajectories"]:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{bad} trajectories.{i} must be an object, got {entry!r}")
+        for key in ("label", "h", "r"):
+            if not isinstance(entry.get(key), str):
+                raise DataError(f"{bad} trajectories.{i}.{key} must be a string, got {entry.get(key)!r}")
+        meta = entry.get("meta", {})
+        if not isinstance(meta, dict):
+            raise DataError(f"{bad} trajectories.{i}.meta must be an object, got {meta!r}")
         pairs.append(
             TrajectoryPair(
                 entry["label"],
                 _read_csv(path / entry["h"]),
                 _read_csv(path / entry["r"]),
-                float(manifest.get("rate", 20.0)),
-                dict(entry.get("meta", {})),
+                float(rate),
+                dict(meta),
             )
         )
-    return Dataset(pairs, w=int(manifest.get("w", 5)), rate=float(manifest.get("rate", 20.0)))
+    return Dataset(pairs, w=int(w), rate=float(rate))
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> Dataset:

@@ -7,6 +7,12 @@ when the contact gate has fired and a hand target is available, pulls the
 commanded joints toward the target with prior-regularized IK. The gate
 latches: once a trajectory enters its contact phase it never drops back.
 
+A window with a non-finite entry (a bad sensor frame) does not end the
+episode: the step is flagged, the forward variable advances by prediction
+alone, the gate stays as it was, and the last command is held; before any
+command exists, the decoded r-block mixture mean of the predicted state
+distribution is commanded.
+
 The step passes plain arrays and computes each quantity once: the encoder's
 (mu, var), one row of h-block emission log-densities that both the forward
 step and the gate's reach-state test read, and the conditional mean of
@@ -44,6 +50,7 @@ class ReactiveState:
     gate: bool = False
     buffer: list = field(default_factory=list)
     t: int = 0
+    q_cmd: np.ndarray | None = None  # the last command issued
 
 
 @dataclass
@@ -53,6 +60,7 @@ class StepOutput:
     alpha_t: np.ndarray
     latent_mean: np.ndarray  # (d_z,) conditional mean of the r block
     ik_used: bool = False
+    bad_frame: bool = False  # the window was not finite; the command is held
 
 
 def reactive_step(
@@ -73,13 +81,15 @@ def reactive_step(
     x_h = np.asarray(x_h, dtype=np.float64)
     if x_h.shape[0] != v_h.input_dim:
         raise ValueError(f"window width {x_h.shape[0]} != expected {v_h.input_dim}")
+    n_r = v_r.input_dim // bundle.config.window
+    if not np.isfinite(x_h).all():
+        return _held_step(hmm, v_r, n_r, state)
     mu, var, _, _ = encode_batch(v_h, x_h[None, :])
     log_lik = state_log_liks(hmm, mu, "h")[0]
     alpha_t, log_alpha = forward_step(hmm, log_lik, state.log_alpha)
     post_var = var[0] if bundle.config.variant.uses_cov else None
     latent_mean = gmr_condition(hmm, mu[0], post_var, alpha_t)
     window = decode(v_r, latent_mean)
-    n_r = v_r.input_dim // bundle.config.window
     q_raw = window[-n_r:]
     fired = False
     if tsm is not None:
@@ -97,7 +107,17 @@ def reactive_step(
         w = np.asarray(smooth_weights, dtype=np.float64)[-len(buffer) :]
         q_cmd = (w[:, None] * np.asarray(buffer)).sum(axis=0) / w.sum()
     out = StepOutput(q_cmd, fired, alpha_t, latent_mean, ik_used)
-    return out, ReactiveState(log_alpha, fired, buffer, state.t + 1)
+    return out, ReactiveState(log_alpha, fired, buffer, state.t + 1, q_cmd)
+
+
+def _held_step(hmm: Hmm, v_r: Vae, n_r: int, state: ReactiveState):
+    """The step of a non-finite window: a zero log-likelihood row makes the
+    forward step a pure prediction, and the last command is held."""
+    alpha_t, log_alpha = forward_step(hmm, np.zeros(hmm.n_states), state.log_alpha)
+    latent_mean = alpha_t @ hmm.means[:, hmm.d_z :]
+    q_cmd = state.q_cmd if state.q_cmd is not None else decode(v_r, latent_mean)[-n_r:]
+    out = StepOutput(q_cmd, state.gate, alpha_t, latent_mean, bad_frame=True)
+    return out, ReactiveState(log_alpha, state.gate, state.buffer, state.t + 1, q_cmd)
 
 
 @dataclass
@@ -107,6 +127,7 @@ class Rollout:
     stiffness_low: np.ndarray  # (n,) bool; the latched contact gate
     ik_used: np.ndarray  # (n,) bool
     latent_mean: np.ndarray  # (n, d_z) conditional latent means
+    bad_frame: np.ndarray  # (n,) bool; held steps of non-finite windows
 
 
 def rollout(
@@ -140,6 +161,7 @@ def rollout(
         stiffness_low=np.asarray([o.stiffness_low for o in outs], dtype=bool),
         ik_used=np.asarray([o.ik_used for o in outs], dtype=bool),
         latent_mean=np.asarray([o.latent_mean for o in outs]),
+        bad_frame=np.asarray([o.bad_frame for o in outs], dtype=bool),
     )
 
 

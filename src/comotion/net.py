@@ -130,8 +130,8 @@ def mlp_backward(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of the scalar loss whose output-gradient is ``out_grad``.
 
-    Returns (param_grads ordered as Mlp.params, input_grad). Batched
-    out_grad rows are summed into the parameter gradients.
+    Returns (param_grads ordered as Mlp.params, input_grad); batched rows
+    are summed into the parameter gradients, and out_grad is left intact.
     """
     if len(tape.inputs) != m.n_layers or tape.inputs[0].shape[1] != m.in_dim:
         raise ValueError("tape does not match this network")
@@ -143,7 +143,7 @@ def mlp_backward(
     grads: list[np.ndarray] = [None] * (2 * m.n_layers)
     for l in range(m.n_layers - 1, -1, -1):
         if l < m.n_layers - 1:
-            g = g * tape.factors[l]
+            g *= tape.factors[l]  # g is this pass's own product, never out_grad
         grads[2 * l] = g.T @ tape.inputs[l]
         grads[2 * l + 1] = g.sum(axis=0)
         g = g @ m.weights[l]

@@ -200,18 +200,22 @@ def _kl_terms(mu, var, pack: PriorPack, idx):
     return kl, dmu, dvar
 
 
-def _recon_stream(v: Vae, z_flat: np.ndarray, x_rep: np.ndarray, scale: float):
-    """Decode a flattened latent batch and score it against standardized
-    targets.
+def _recon_stream(v: Vae, z: np.ndarray, x_std: np.ndarray, scale: float):
+    """Decode a (B, k, d_z) latent batch and score it against the (B, D)
+    standardized targets, broadcast over the k samples.
 
-    Returns (mse_sum_scaled, decoder grads, gradient w.r.t. z_flat).
-    mse uses mean over feature dims; ``scale`` folds in the outer averaging.
+    The error, then the output gradient, live in the decoder's output
+    buffer: one call allocates one (B*k, D) array. Returns (mse_sum_scaled,
+    decoder grads, gradient w.r.t. z as (B*k, d_z)); mse is a mean over
+    feature dims and ``scale`` folds in the outer averaging.
     """
-    xhat, tape = mlp_forward(v.decoder, z_flat)
-    err = xhat - x_rep
-    loss = scale * float((err * err).sum()) / v.input_dim
-    out_grad = (2.0 * scale / v.input_dim) * err
-    grads, dz = mlp_backward(v.decoder, tape, out_grad)
+    err, tape = mlp_forward(v.decoder, z.reshape(-1, v.d_z))
+    samples = err.reshape(*z.shape[:2], v.input_dim)
+    samples -= x_std[:, None, :]
+    flat = err.ravel()
+    loss = scale * float(flat @ flat) / v.input_dim
+    err *= 2.0 * scale / v.input_dim
+    grads, dz = mlp_backward(v.decoder, tape, err)
     return loss, grads, dz
 
 
@@ -238,11 +242,8 @@ def _agent_elbo(
     mu, var, dvar_dlv, enc_tape = encode_batch(v, x)
     sigma = np.sqrt(var)
     z = mu[:, None, :] + sigma[:, None, :] * eps  # (B, k, d_z)
-    x_rep = np.repeat(v.standardize(x), k, axis=0)
-    recon, dec_grads, dz_flat = _recon_stream(
-        v, z.reshape(B * k, v.d_z), x_rep, 1.0 / (B * k)
-    )
-    dz = dz_flat.reshape(B, k, v.d_z)
+    recon, dec_grads, dz_flat = _recon_stream(v, z, v.standardize(x), 1.0 / (B * k))
+    dz = dz_flat.reshape(z.shape)
     dmu_recon = dz.sum(axis=1)
     dsigma = (dz * eps).sum(axis=1)
     dvar_recon = dsigma * (0.5 / sigma)
@@ -377,9 +378,8 @@ def hri_loss(
     cond = 0.0
     if cond_z is not None:
         k = cond_z.shape[1]
-        x_rep = np.repeat(v_r.standardize(x_r), k, axis=0)
         cond, dec_grads, _ = _recon_stream(
-            v_r, cond_z.reshape(B * k, v_r.d_z), x_rep, cond_weight / (B * k)
+            v_r, cond_z, v_r.standardize(x_r), cond_weight / (B * k)
         )
         offset = len(v_r.encoder.params)
         _add(grads[offset:], dec_grads)

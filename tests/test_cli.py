@@ -98,6 +98,17 @@ def test_missing_dataset_is_exit_3(tmp_path, tiny_config):
     )
 
 
+def test_malformed_manifest_is_exit_3_naming_the_key(tmp_path, tiny_config, capsys):
+    _, config = tiny_config
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.json").write_text('{"w": 5}')
+    assert main(["--config", str(config), "train-hhi", "--data", str(ds)]) == 3
+    err = capsys.readouterr().err
+    assert "field trajectories must be a non-empty list" in err
+    assert "Traceback" not in err
+
+
 def test_config_error_without_dataset(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")

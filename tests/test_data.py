@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,41 @@ def test_load_malformed_csv(tmp_path):
     (d / "h.csv").write_text("a,b\n1,2\n3,oops\n")
     (d / "r.csv").write_text("q1\n0.0\n0.0\n")
     with pytest.raises(DataError, match="malformed"):
+        load_dataset(d)
+
+
+_ENTRY = {"label": "a", "h": "h.csv", "r": "r.csv"}
+
+
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ({"w": 5}, "trajectories"),
+        ({"trajectories": {"0": _ENTRY}}, "trajectories"),
+        ({"trajectories": []}, "trajectories"),
+        ([_ENTRY], "trajectories"),
+        ({"trajectories": [_ENTRY, "traj0001_h.csv"]}, "trajectories.1"),
+        ({"trajectories": [{"h": "h.csv", "r": "r.csv"}]}, "trajectories.0.label"),
+        ({"trajectories": [_ENTRY, _ENTRY, {"label": "a", "r": "r.csv"}]}, "trajectories.2.h"),
+        ({"trajectories": [{"label": "a", "h": "h.csv"}]}, "trajectories.0.r"),
+        ({"trajectories": [{**_ENTRY, "r": 3}]}, "trajectories.0.r"),
+        ({"trajectories": [{**_ENTRY, "meta": [1]}]}, "trajectories.0.meta"),
+        ({"w": "x", "trajectories": [_ENTRY]}, "w"),
+        ({"w": 0, "trajectories": [_ENTRY]}, "w"),
+        ({"rate": None, "trajectories": [_ENTRY]}, "rate"),
+        ({"rate": -20.0, "trajectories": [_ENTRY]}, "rate"),
+    ],
+    ids=["no-trajectories", "trajectories-object", "trajectories-empty", "manifest-list", "entry-string",
+         "no-label", "no-h", "no-r", "r-int", "meta-list", "w-string", "w-zero",
+         "rate-null", "rate-negative"],
+)
+def test_malformed_manifest_names_the_field(tmp_path, manifest, field):
+    d = tmp_path / "ds"
+    d.mkdir()
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    (d / "h.csv").write_text("a\n1\n")
+    (d / "r.csv").write_text("q1\n0.0\n")
+    with pytest.raises(DataError, match=rf"field {re.escape(field)} must be"):
         load_dataset(d)
 
 

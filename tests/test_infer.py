@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from comotion.data import SynthInteraction, SynthSpec, pair_features, split, synth_generate
+from comotion.data import (
+    SynthInteraction,
+    SynthSpec,
+    pair_features,
+    split,
+    synth_generate,
+    window_features,
+)
 from comotion.errors import ConfigError
 from comotion.gauss import Gaussian, log_pdf
 from comotion.hmm import TransitionStateModel
@@ -149,6 +156,43 @@ def test_rollout_is_causal(dataset, trained):
     a = rollout(trained, "greet", frames)
     b = rollout(trained, "greet", tampered)
     np.testing.assert_array_equal(a.q[:17], b.q[:17])  # windows ending before t=21
+
+
+def test_rollout_holds_the_command_through_a_bad_frame(dataset, trained):
+    """One NaN cell at frame 30 spoils the six windows that read it (five
+    through its position, one more through frame 31's delta): each is
+    flagged and holds the last good command, and the episode finishes."""
+    pair = dataset.subset("test")[0]
+    frames = pair.h_frames.copy()
+    frames[30, 4] = np.nan
+    bad = ~np.isfinite(window_features(frames, 5, "positions")).all(axis=1)
+    assert np.flatnonzero(bad).tolist() == list(range(26, 32))
+    result = rollout(trained, "greet", frames)
+    clean = rollout(trained, "greet", pair.h_frames)
+    assert result.q.shape == clean.q.shape
+    np.testing.assert_array_equal(result.bad_frame, bad)
+    assert not clean.bad_frame.any()
+    assert np.isfinite(result.q).all() and np.isfinite(result.alpha).all()
+    np.testing.assert_array_equal(result.q[:26], clean.q[:26])
+    np.testing.assert_array_equal(result.q[26:32], np.repeat(clean.q[25:26], 6, axis=0))
+
+
+def test_bad_window_advances_alpha_by_prediction_alone(trained):
+    """Before any command a bad window commands the decoded r-block mixture
+    mean of the predicted state distribution (pi at the first step); the
+    next bad window holds that command and predicts alpha @ trans."""
+    hmm = trained.hmms["greet"][0]
+    window = np.zeros(90)
+    window[7] = np.inf
+    out, state = reactive_step(trained, "greet", window, None, None, ReactiveState())
+    assert out.bad_frame and not out.stiffness_low and not out.ik_used
+    np.testing.assert_allclose(out.alpha_t, hmm.pi, rtol=1e-12)
+    np.testing.assert_allclose(out.latent_mean, hmm.pi @ hmm.means[:, hmm.d_z :], rtol=1e-12)
+    np.testing.assert_array_equal(out.q_cmd, decode(trained.robot_vae, out.latent_mean)[-4:])
+    nxt, state = reactive_step(trained, "greet", window, None, None, state)
+    np.testing.assert_allclose(nxt.alpha_t, out.alpha_t @ hmm.trans, rtol=1e-12)
+    np.testing.assert_array_equal(nxt.q_cmd, out.q_cmd)
+    assert nxt.bad_frame and state.t == 2
 
 
 def test_mode_consistency_v32_inference_uses_posterior_covariance(trained):

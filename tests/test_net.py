@@ -115,6 +115,16 @@ def test_backward_finite_difference_oracle():
     assert grad_check(loss, m.params) < 1e-4
 
 
+def test_backward_leaves_out_grad_unchanged():
+    rng = np.random.default_rng(7)
+    m = Mlp.create([4, 7, 5, 3], rng)
+    out, tape = mlp_forward(m, rng.standard_normal((6, 4)))
+    out_grad = rng.standard_normal(out.shape)
+    kept = out_grad.copy()
+    mlp_backward(m, tape, out_grad)
+    np.testing.assert_array_equal(out_grad, kept)
+
+
 def test_backward_stale_tape():
     rng = np.random.default_rng(6)
     m1 = Mlp.create([3, 4, 2], rng)

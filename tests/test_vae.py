@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from comotion import vae
 from comotion.errors import ConfigError, NumericalError
 from comotion.gauss import Gaussian
 from comotion.hmm import Hmm, conditional_moments
-from comotion.net import AdamState, adam_step
+from comotion.net import AdamState, adam_step, mlp_backward, mlp_forward
 from comotion.train import TrainConfig
 from comotion.vae import (
     PriorPack,
     Vae,
     Variant,
+    _agent_elbo,
+    _recon_stream,
     _sampling_chol,
     conditional_latents,
     decode,
@@ -393,3 +398,87 @@ def test_objectives_score_reconstruction_in_standardized_units():
     assert loss == pytest.approx(loss0, rel=1e-12)
     for a, b in zip(grads, grads0):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reconstruction stream
+# ---------------------------------------------------------------------------
+
+
+def repeated_targets_stream(v, z, x_std, scale):
+    """Oracle: the stream scored against explicit per-sample targets,
+    ``np.repeat`` of the (B, D) targets to (B*k, D), in fresh arrays."""
+    B, k = z.shape[0], z.shape[1]
+    xhat, tape = mlp_forward(v.decoder, z.reshape(B * k, v.d_z))
+    err = xhat - np.repeat(x_std, k, axis=0)
+    loss = scale * float((err * err).sum()) / v.input_dim
+    grads, dz = mlp_backward(v.decoder, tape, (2.0 * scale / v.input_dim) * err)
+    return loss, grads, dz
+
+
+@pytest.mark.parametrize("width", [90, 20])
+def test_recon_stream_matches_repeated_targets(width):
+    """Same gradients bit for bit; the loss sums in another order."""
+    rng = np.random.default_rng(13)
+    B, k, d_z = 66, 10, 5
+    v = Vae.create(width, d_z, (40, 20), rng)
+    x_std = rng.standard_normal((B, width))
+    z = rng.standard_normal((B, k, d_z))
+    scale = 0.7 / (B * k)
+    loss, grads, dz = _recon_stream(v, z, x_std, scale)
+    want_loss, want_grads, want_dz = repeated_targets_stream(v, z, x_std, scale)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for a, b in zip(grads, want_grads, strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(dz, want_dz)
+
+
+def test_agent_elbo_allocates_one_decoder_output():
+    """One agent term on the benchmark's stage-one batch (66 windows, 90
+    wide, k = 10) peaks below four (B*k, D) arrays; scored against
+    ``np.repeat`` targets it peaked at 3.1 MB. Each output-sized temporary
+    is freed memory that the C allocator can hand back to the OS and fault
+    in again on the next trajectory."""
+    rng = np.random.default_rng(14)
+    B, k, d_z, D = 66, 10, 5, 90
+    v = Vae.create(D, d_z, (40, 20), rng)
+    x = 3.0 + rng.standard_normal((B, D))
+    v.fit_feature_stats(x)
+    args = (v, x, unit_prior(d_z), np.zeros(B, dtype=np.intp), 5e-3, rng.standard_normal((B, k, d_z)))
+    _agent_elbo(*args)
+    tracemalloc.start()
+    try:
+        _agent_elbo(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * B * k * D * np.dtype(np.float64).itemsize
+
+
+def test_recon_stream_scores_without_output_sized_temporaries(monkeypatch):
+    """Between the decoder's forward and backward passes the error, its
+    squared sum and the output gradient allocate less than half a (B*k, D)
+    array: no repeated targets, no separate error or squared copy."""
+    rng = np.random.default_rng(15)
+    B, k, d_z, D = 66, 10, 5, 90
+    v = Vae.create(D, d_z, (40, 20), rng)
+    seen = {}
+
+    def forward(m, x):
+        out = mlp_forward(m, x)
+        tracemalloc.reset_peak()
+        seen["start"] = tracemalloc.get_traced_memory()[0]
+        return out
+
+    def backward(m, tape, out_grad):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return mlp_backward(m, tape, out_grad)
+
+    monkeypatch.setattr(vae, "mlp_forward", forward)
+    monkeypatch.setattr(vae, "mlp_backward", backward)
+    tracemalloc.start()
+    try:
+        _recon_stream(v, rng.standard_normal((B, k, d_z)), rng.standard_normal((B, D)), 1.0 / (B * k))
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] - seen["start"] < B * k * D * np.dtype(np.float64).itemsize / 2
