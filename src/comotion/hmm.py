@@ -18,7 +18,11 @@ Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
 log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
-padded to the longest, as ``occupancy`` runs its forward pass. Emission
+padded to the longest, as ``occupancy`` runs its forward pass. The kernels
+pick their schedule from what they are given: a left-to-right model, which
+``init_segments`` builds and ``em_fit`` keeps, over more steps than states
+is swept one state at a time over all steps; the online step, dense models
+and a step no state explains loop over time. Emission
 densities factor all state covariances with one stacked Cholesky per call;
 the factors are not cached on the model, which ``em_fit`` updates in place.
 Mixture conditioning is batched, with a single step as a batch of one.
@@ -94,7 +98,9 @@ class Hmm:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hmm":
-        """Inverse of ``to_dict``; ValueError when the shapes disagree."""
+        """Inverse of ``to_dict``; ValueError when the shapes disagree or
+        ``pi`` or a row of ``trans`` is not a probability vector (a negative
+        entry, or a sum off 1 by more than 1e-9)."""
         means = np.asarray([c["mean"] for c in d["components"]])
         covs = np.asarray([c["cov"] for c in d["components"]])
         hmm = cls(np.asarray(d["pi"]), np.asarray(d["trans"]), means, covs, int(d["d_z"]))
@@ -102,6 +108,9 @@ class Hmm:
         N, D = means.shape
         if shapes != ((N,), (N, N), (N, D), (N, D, D)) or not 0 < hmm.d_z < D:
             raise ValueError(f"shapes {shapes} of pi, trans, means, covs, d_z {hmm.d_z} disagree")
+        for where, row in [("pi", hmm.pi)] + [(f"trans row {i}", r) for i, r in enumerate(hmm.trans)]:
+            if (row < 0).any() or abs(row.sum() - 1.0) > 1e-9:
+                raise ValueError(f"{where} {row.tolist()} is not a probability vector")
         return hmm
 
 

@@ -269,3 +269,18 @@ def test_rollout_index_outside_the_dataset_is_exit_3(small_model, tmp_path, caps
     assert "Traceback" not in err
     if code == 3:
         assert f"index {index} outside 0..3" in err
+
+
+def test_rollout_of_a_checkpoint_with_a_negative_transition_is_exit_2(small_model, tmp_path, capsys):
+    # the row still sums to 1; without the check the forward step collapsed, exit 4
+    ds, model = small_model
+    doc = json.loads(model.read_text())
+    label = sorted(doc["interactions"])[0]
+    row = doc["interactions"][label]["trans"][0]
+    row[:] = [-0.5, 1.5] + [0.0] * (len(row) - 2)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["rollout", "--model", str(bad), "--data", str(ds)]
+    assert main(["--out", str(tmp_path / "roll.csv"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"interactions.{label}" in err and "trans row 0" in err and "Traceback" not in err

@@ -13,7 +13,15 @@ from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
-from comotion.hmm import Hmm, em_fit, forward, forward_unobserved, state_log_liks
+from comotion.hmm import (
+    Hmm,
+    em_fit,
+    forward,
+    forward_step,
+    forward_unobserved,
+    init_segments,
+    state_log_liks,
+)
 
 TOL = 1e-10
 
@@ -168,6 +176,22 @@ def _unreachable_model():
     return _log(pi), _log(trans)
 
 
+def _left_to_right_model():
+    """No transition to a lower state: state 0 may skip state 1, state 2 has
+    no self-loop, and state 4 is never entered."""
+    pi = np.array([0.7, 0.3, 0.0, 0.0, 0.0])
+    trans = np.array(
+        [
+            [0.5, 0.3, 0.2, 0.0, 0.0],
+            [0.0, 0.6, 0.4, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return _log(pi), _log(trans)
+
+
 def _ragged(rng, N, lengths=(40, 7, 23, 2, 40)):
     return [rng.standard_normal((T, N)) * 3.0 for T in lengths]
 
@@ -180,9 +204,24 @@ def _unreachable_case(rng):
     return (_ragged(rng, 4, (30, 12, 5)), *_unreachable_model())
 
 
+def _left_to_right_case(rng):
+    return (_ragged(rng, 5), *_left_to_right_model())
+
+
+def _single_state_case(rng):
+    return (_ragged(rng, 1, (9, 2, 5)), np.zeros(1), np.zeros((1, 1)))
+
+
 def cases():
-    """(log_liks, log_pi, log_trans): ragged lengths, then unreachable states."""
-    return [make(np.random.default_rng(0)) for make in (_ragged_case, _unreachable_case)]
+    """(log_liks, log_pi, log_trans): a dense model on ragged lengths and one
+    with an unreachable state that moves back, which take the time loop;
+    then a left-to-right model with a skip, a state without self-loop and an
+    unreachable state, and a single state, on ragged lengths down to 2,
+    which take the state sweep."""
+    return [
+        make(np.random.default_rng(0))
+        for make in (_ragged_case, _unreachable_case, _left_to_right_case, _single_state_case)
+    ]
 
 
 def _batched_e_step(padded, mask, log_pi, log_trans):
@@ -253,13 +292,19 @@ def test_unobserved_forward_paths_agree():
     )
 
 
+def test_cases_take_both_schedules():
+    taken = [K._sweepable(_pad(log_liks)[0], log_trans) for log_liks, _, log_trans in cases()]
+    assert taken == [False, False, True, True]
+
+
 def test_unreachable_state_gets_no_mass():
-    log_liks, log_pi, log_trans = _unreachable_case(np.random.default_rng(1))
-    log_alpha, _, _, xi = _batched_e_step(*_pad(log_liks), log_pi, log_trans)
-    assert np.all(log_alpha[..., 3] == -np.inf)
-    np.testing.assert_array_equal(xi[3], 0.0)
-    np.testing.assert_array_equal(xi[:, 3], 0.0)
-    assert not np.any(np.isnan(log_alpha))
+    for make, state in [(_unreachable_case, 3), (_left_to_right_case, 4)]:
+        log_liks, log_pi, log_trans = make(np.random.default_rng(1))
+        log_alpha, _, _, xi = _batched_e_step(*_pad(log_liks), log_pi, log_trans)
+        assert np.all(log_alpha[..., state] == -np.inf)
+        np.testing.assert_array_equal(xi[state], 0.0)
+        np.testing.assert_array_equal(xi[:, state], 0.0)
+        assert not np.any(np.isnan(log_alpha))
 
 
 def test_padding_content_does_not_change_results():
@@ -332,6 +377,113 @@ def test_em_fit_e_step_on_ragged_sequences_matches_reference():
     g = np.concatenate(gammas)
     x = np.concatenate(seqs)
     np.testing.assert_allclose(fitted.means, (g.T @ x) / g.sum(axis=0)[:, None], atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# the schedule: where the sweep runs, what it keeps, how far it strays
+# ---------------------------------------------------------------------------
+
+
+def _chain_model(N, stay=0.9):
+    """init_segments' transitions: stay or move to the next state."""
+    trans = np.diag(np.full(N, stay)) + np.diag(np.full(N - 1, 1.0 - stay), 1)
+    trans[-1, -1] = 1.0
+    return _log(np.eye(N)[0]), _log(trans)
+
+
+def test_sweep_stays_within_its_error_bound_over_2000_steps():
+    # the bound of the _kernels docstring: 64 eps sum_t max_j |log_lik_t(j)|
+    rng = np.random.default_rng(6)
+    log_liks = [-50.0 + 10.0 * rng.standard_normal((T, 6)) for T in (2000, 1500)]
+    log_pi, log_trans = _chain_model(6)
+    padded, mask = _pad(log_liks)
+    assert K._sweepable(padded, log_trans)
+    log_alpha, log_norm = K.forward_log(padded, log_pi, log_trans)
+    log_beta = K.backward_log(padded, log_trans, mask)
+    for s, log_lik in enumerate(log_liks):
+        T = log_lik.shape[0]
+        bound = 64 * np.finfo(float).eps * np.abs(log_lik).max(axis=1).sum()
+        ref_alpha, ref_norm = forward_log_np(log_lik, log_pi, log_trans)
+        ref_beta = backward_log_np(log_lik, log_trans)
+        reached = np.isfinite(ref_alpha)
+        np.testing.assert_array_equal(np.isfinite(log_alpha[s, :T]), reached)
+        assert np.abs(log_alpha[s, :T][reached] - ref_alpha[reached]).max() <= bound
+        assert np.abs(log_norm[s, :T] - ref_norm).max() <= bound
+        assert np.abs(log_beta[s, :T] - ref_beta).max() <= bound
+
+
+def _boundary_input(kind):
+    """(log_lik, mask, log_pi, log_trans) just outside the sweep's reach."""
+    rng = np.random.default_rng(7)
+    log_pi, log_trans = _chain_model(4)
+    lengths = (4, 3) if kind == "T <= N" else (12, 6)
+    padded, mask = _pad(_ragged(rng, 4, lengths))
+    if kind == "dense":
+        log_pi, log_trans = _random_model(rng, 4)
+    elif kind == "-inf row":
+        padded[0, 5] = -np.inf  # no state explains step 5: a collapse
+    return padded, mask, log_pi, log_trans
+
+
+@pytest.mark.parametrize("kind", ["T <= N", "dense", "-inf row"])
+def test_outside_the_sweep_the_kernels_are_the_loop_bit_for_bit(kind):
+    log_lik, mask, log_pi, log_trans = _boundary_input(kind)
+    assert not K._sweepable(log_lik, log_trans)
+    for got, loop in zip(
+        K.forward_log(log_lik, log_pi, log_trans), K._forward_loop(log_lik, log_pi, log_trans)
+    ):
+        np.testing.assert_array_equal(got, loop)
+    if kind != "-inf row":  # the E-step stops at a collapse before its backward pass
+        np.testing.assert_array_equal(
+            K.backward_log(log_lik, log_trans, mask), K._backward_loop(log_lik, log_trans, mask)
+        )
+
+
+def test_forward_step_is_the_loop_bit_for_bit():
+    # the online step is a forward pass of length one, T = 1 <= N
+    rng = np.random.default_rng(8)
+    pi, trans = np.eye(4)[0], np.exp(_chain_model(4)[1])
+    hmm = Hmm(pi, trans, np.zeros((4, 2)), np.stack([np.eye(2)] * 4), 1)
+    log_alpha = None
+    for log_lik_t in 3.0 * rng.standard_normal((5, 4)):
+        log_prior = _log(pi) if log_alpha is None else K.predict_log(log_alpha, _log(trans))
+        loop, _ = K._forward_loop(log_lik_t[None, None], log_prior, _log(trans))
+        _, log_alpha = forward_step(hmm, log_lik_t, log_alpha)
+        np.testing.assert_array_equal(log_alpha, loop[0, 0])
+
+
+def _bench_shape_latents(seed, S=9, T=66, D=10, N=6):
+    """S sequences of T latents that pass through N Gaussian segments whose
+    boundaries jitter from sequence to sequence."""
+    rng = np.random.default_rng(seed)
+    centres = 2.0 * rng.standard_normal((N, D))
+    seqs = []
+    for _ in range(S):
+        cuts = np.sort(rng.choice(np.arange(4, T - 4), N - 1, replace=False))
+        segment = np.searchsorted(cuts, np.arange(T), side="right")
+        seqs.append(centres[segment] + 0.5 * rng.standard_normal((T, D)))
+    return seqs
+
+
+def test_em_fit_from_init_segments_stays_left_to_right():
+    seqs = _bench_shape_latents(0)
+    fitted, _ = em_fit(init_segments(seqs, 6), seqs)
+    np.testing.assert_array_equal(np.tril(fitted.trans, -1), 0.0)
+    assert np.all(np.diag(fitted.trans, 1) > 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_em_fit_sweep_matches_the_loop_at_bench_shape(monkeypatch, seed):
+    seqs = _bench_shape_latents(seed)
+    init = init_segments(seqs, 6)
+    swept, swept_trace = em_fit(init, seqs)
+    monkeypatch.setattr(K, "_sweepable", lambda log_lik, log_trans: False)
+    looped, looped_trace = em_fit(init, seqs)
+    assert len(swept_trace) == len(looped_trace) > 2
+    for got, want in [(swept_trace, looped_trace)] + [
+        (getattr(swept, f), getattr(looped, f)) for f in ("pi", "trans", "means", "covs")
+    ]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_chol_logpdf_paths_agree_and_match_scipy():

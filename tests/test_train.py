@@ -377,6 +377,24 @@ def _misshape_decoder(doc):
     doc["robot_vae"]["decoder"]["weights"][-1].pop()
 
 
+def _negative_transition(doc):
+    row = doc["interactions"]["greet"]["trans"][0]
+    row[:] = [-0.5, 1.5] + [0.0] * (len(row) - 2)  # sums to 1
+
+
+def _trans_row_off_one(doc):
+    doc["interactions"]["greet"]["trans"][1][1] += 1e-6
+
+
+def _negative_initial(doc):
+    pi = doc["interactions"]["greet"]["pi"]
+    pi[:] = [2.0, -1.0] + [0.0] * (len(pi) - 2)  # sums to 1
+
+
+def _pi_off_one(doc):
+    doc["interactions"]["greet"]["pi"][0] += 0.5
+
+
 @pytest.mark.parametrize(
     "damage, field",
     [
@@ -384,6 +402,10 @@ def _misshape_decoder(doc):
         (_drop_human_vae, "field human_vae: KeyError"),
         (_corrupt, "interactions.greet.components.2.cov.1.1 is not finite"),
         (_misshape_decoder, "field robot_vae"),
+        (_negative_transition, "field interactions.greet: ValueError('trans row 0 [-0.5, 1.5,"),
+        (_trans_row_off_one, "field interactions.greet: ValueError('trans row 1 "),
+        (_negative_initial, "field interactions.greet: ValueError('pi [2.0, -1.0,"),
+        (_pi_off_one, "field interactions.greet: ValueError('pi "),
     ],
 )
 def test_malformed_checkpoint_is_config_error_naming_file_and_field(tmp_path, hhi_bundle, damage, field):
