@@ -10,6 +10,7 @@ seed so results stay traceable.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -135,19 +136,15 @@ class EvalReport:
     config: dict
 
 
+@contextlib.contextmanager
 def _stage(name: str, fingerprint: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(
-                exc, (ConfigError, DataError, NumericalError)
-            ):
-                exc.args = (f"[stage {name}, config {fingerprint}] {exc}",)
-            return False
-
-    return _Ctx()
+    """Prefix a ConfigError, DataError or NumericalError raised inside with
+    ``[stage <name>, config <fingerprint>]``."""
+    try:
+        yield
+    except (ConfigError, DataError, NumericalError) as exc:
+        exc.args = (f"[stage {name}, config {fingerprint}] {exc}",)
+        raise
 
 
 def load_config(path: str | Path) -> dict:
@@ -234,7 +231,7 @@ def _seed_job(args: dict) -> dict:
     seed = args["seed"]
     out_dir = Path(args["out_dir"])
     dataset = load_experiment_dataset(config)
-    base_cfg = TrainConfig.from_dict({**config.get("train", {}), "seeds": [seed]})
+    base_cfg = TrainConfig.from_dict(config.get("train", {}))
     fingerprint = config_fingerprint(config, seed)
     with _stage("train-hhi", fingerprint):
         hhi = train_hhi(dataset, base_cfg, seed)

@@ -26,10 +26,14 @@ and a step no state explains loop over time. Emission
 densities factor all state covariances with one stacked Cholesky per call;
 the factors are not cached on the model, which ``em_fit`` updates in place.
 Mixture conditioning is batched, with a single step as a batch of one.
-``conditional_means`` serves every caller that reads only the mean: the
-reactive step through ``gmr_condition``, whole-trajectory prediction and
-the v2 training latents. ``conditional_moments`` adds the mixture
-covariance, which only the v3 training latents sample from.
+One helper, ``_gain_solve``, builds each state's h-block covariance (plus
+the posterior variance when given), solves it and turns a singular solve
+into a NumericalError. ``conditional_means`` serves every caller that
+reads only the mean: the reactive step through ``gmr_condition``,
+whole-trajectory prediction and the v2 training latents; it solves against
+``points - mu_h`` alone. ``conditional_moments`` adds the mixture
+covariance, which only the v3 training latents sample from; it solves for
+the gains themselves, one per state in point mode, shared by every row.
 """
 
 from __future__ import annotations
@@ -209,7 +213,8 @@ def _segment_slices(sequences: list[np.ndarray], n_states: int) -> list[np.ndarr
     return [np.concatenate(p, axis=0) for p in pools]
 
 
-def _fit_gaussian(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fit_gaussian(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SPD-repaired maximum-likelihood covariance of (n, d) points."""
     mean = points.mean(axis=0)
     diff = points - mean
     cov = diff.T @ diff / points.shape[0]
@@ -225,7 +230,7 @@ def init_segments(sequences: list[np.ndarray], n_states: int, d_z: int | None = 
     means = np.empty((n_states, dim))
     covs = np.empty((n_states, dim, dim))
     for i, pool in enumerate(pools):
-        means[i], covs[i] = _fit_gaussian(pool)
+        means[i], covs[i] = fit_gaussian(pool)
     pi = np.zeros(n_states)
     pi[0] = 1.0
     trans = np.zeros((n_states, n_states))
@@ -338,7 +343,7 @@ def _reseed_starving(hmm: Hmm, sequences: list[np.ndarray], which: np.ndarray) -
     pools = _segment_slices(sequences, hmm.n_states)
     variances = [np.trace(np.cov(p.T)) if p.shape[0] > 1 else 0.0 for p in pools]
     src = int(np.argmax(variances))
-    mean, cov = _fit_gaussian(pools[src])
+    mean, cov = fit_gaussian(pools[src])
     for i in which:
         log.warning("component %d starved; reseeding from segment %d", i, src)
         hmm.means[i] = mean
@@ -367,6 +372,24 @@ def gmr_condition(
     return conditional_means(hmm, mu[None], post_var, alpha_t[None])[0]
 
 
+def _gain_solve(hmm: Hmm, post_var: np.ndarray | None, rhs: np.ndarray) -> np.ndarray:
+    """Solve every state's h-block covariance, plus ``post_var`` (B, d_z) on
+    the diagonal when given, against ``rhs``; NumericalError when singular.
+
+    Without ``post_var`` the system is (N, d_z, d_z); with it, (B, N, d_z,
+    d_z). ``rhs`` stacks over the same leading axes or broadcasts to them.
+    """
+    d_z = hmm.d_z
+    gain_base = hmm.covs[:, :d_z, :d_z]
+    if post_var is not None:
+        post_var = np.asarray(post_var, dtype=np.float64)
+        gain_base = gain_base + post_var[:, None, :, None] * np.eye(d_z)
+    try:
+        return np.linalg.solve(gain_base, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular conditioning matrix") from None
+
+
 def conditional_means(
     hmm: Hmm,
     points: np.ndarray,
@@ -384,14 +407,7 @@ def conditional_means(
     d_z = hmm.d_z
     s_hr = hmm.covs[:, :d_z, d_z:]
     diff = points[:, None, :] - hmm.means[None, :, :d_z]  # (B, N, d_z)
-    gain_base = hmm.covs[:, :d_z, :d_z]
-    if post_var is not None:
-        post_var = np.asarray(post_var, dtype=np.float64)
-        gain_base = gain_base + post_var[:, None, :, None] * np.eye(d_z)
-    try:
-        sol = np.linalg.solve(gain_base, diff[..., None])[..., 0]  # (B, N, d_z)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular conditioning matrix") from None
+    sol = _gain_solve(hmm, post_var, diff[..., None])[..., 0]  # (B, N, d_z)
     # sum_i alpha_i (mu_r_i + s_rh_i sol_i), with s_rh_i sol_i = s_hr_i^T sol_i
     weighted = (alphas[:, :, None] * sol).reshape(points.shape[0], -1)
     return alphas @ hmm.means[:, d_z:] + weighted @ s_hr.reshape(-1, s_hr.shape[-1])
@@ -409,37 +425,25 @@ def conditional_moments(
     posterior variances or None for exact-point conditioning; alphas:
     (B, N) mixing weights. Returns (means (B, d_r), covs (B, d_r, d_r));
     covariances are the raw mixture moments, not yet regularized.
+
+    State i's gain G_i = (s_hh_i + diag(post_var))^-1 s_hr_i gives its mean
+    mu_r_i + G_i^T (x - mu_h_i) and covariance s_rr_i - s_hr_i^T G_i; without
+    ``post_var`` there is one gain per state, shared by every row.
     """
     points = np.asarray(points, dtype=np.float64)
     alphas = np.asarray(alphas, dtype=np.float64)
-    B = points.shape[0]
-    d_z, d_r = hmm.d_z, hmm.dim - hmm.d_z
-    mu_h = hmm.means[:, :d_z]
-    mu_r = hmm.means[:, d_z:]
-    s_hh = hmm.covs[:, :d_z, :d_z]
+    d_z = hmm.d_z
     s_hr = hmm.covs[:, :d_z, d_z:]
-    diff = points[:, None, :] - mu_h[None, :, :]  # (B, N, d_z)
-    rhs = np.concatenate(
-        [diff[..., None], np.broadcast_to(s_hr, (B,) + s_hr.shape)], axis=-1
-    )  # (B, N, d_z, 1 + d_r)
-    if post_var is None:
-        gain_base = np.broadcast_to(s_hh, (B,) + s_hh.shape)
-    else:
-        post_var = np.asarray(post_var, dtype=np.float64)
-        eye = np.eye(d_z)
-        gain_base = s_hh[None, :, :, :] + post_var[:, None, :, None] * eye
-    try:
-        sol = np.linalg.solve(gain_base, rhs)  # (B, N, d_z, 1 + d_r)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular conditioning matrix") from None
-    s_rr = hmm.covs[:, d_z:, d_z:]
-    # s_rh_i v = (v^T s_hr_i)^T, so contract over the d_z axis of s_hr
-    mu_bi = mu_r[None] + np.einsum("nzr,bnz->bnr", s_hr, sol[..., 0])
-    gain_term = np.einsum("nzr,bnzs->bnrs", s_hr, sol[..., 1:])
-    second_bi = s_rr[None] - gain_term + mu_bi[..., :, None] * mu_bi[..., None, :]
+    # spelled out for numpy < 2, which reads a b one axis short of a as vectors
+    rhs = s_hr if post_var is None else np.broadcast_to(s_hr, (len(points),) + s_hr.shape)
+    gains = _gain_solve(hmm, post_var, rhs)  # ([B,] N, d_z, d_r)
+    diff = points[:, None, :, None] - hmm.means[:, :d_z, None]  # (B, N, d_z, 1)
+    mu_bi = hmm.means[:, d_z:] + (gains.swapaxes(-1, -2) @ diff)[..., 0]  # (B, N, d_r)
+    covs_i = hmm.covs[:, d_z:, d_z:] - s_hr.swapaxes(-1, -2) @ gains  # ([B,] N, d_r, d_r)
     mean_b = np.einsum("bn,bnr->br", alphas, mu_bi)
-    second_b = np.einsum("bn,bnrs->brs", alphas, second_bi)
-    cov_b = second_b - mean_b[:, :, None] * mean_b[:, None, :]
+    spread = mu_bi - mean_b[:, None, :]
+    cov_b = (alphas[:, :, None, None] * covs_i).sum(axis=1)
+    cov_b += (alphas[:, :, None] * spread).swapaxes(1, 2) @ spread
     return mean_b, cov_b
 
 
@@ -472,10 +476,13 @@ class TransitionStateModel:
         reach_states,
         gate: Gaussian | None = None,
     ) -> "TransitionStateModel":
-        """ValueError when a state index is outside ``hmm``'s states."""
+        """ValueError when a state index is outside ``hmm``'s states or the
+        gate is not d_z wide."""
         states = {int(i) for i in contact_states} | {int(i) for i in reach_states}
         if any(not 0 <= i < hmm.n_states for i in states):
             raise ValueError(f"state indices {sorted(states)} outside 0..{hmm.n_states - 1}")
+        if gate is not None and gate.mean.shape != (hmm.d_z,):
+            raise ValueError(f"gate is {gate.mean.shape[0]} wide, not d_z = {hmm.d_z}")
         return cls(frozenset(contact_states), frozenset(reach_states), gate)
 
     def to_dict(self) -> dict:
@@ -486,12 +493,10 @@ class TransitionStateModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TransitionStateModel":
-        return cls(
-            frozenset(d["contact_states"]),
-            frozenset(d["reach_states"]),
-            Gaussian.from_dict(d["gate"]) if d.get("gate") else None,
-        )
+    def from_dict(cls, d: dict, hmm: Hmm) -> "TransitionStateModel":
+        """Inverse of ``to_dict``, checked against ``hmm`` as ``for_hmm`` does."""
+        gate = Gaussian.from_dict(d["gate"]) if d.get("gate") else None
+        return cls.for_hmm(hmm, d["contact_states"], d["reach_states"], gate)
 
 
 def contact_gate(

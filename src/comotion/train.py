@@ -31,11 +31,12 @@ import numpy as np
 
 from comotion.data import Dataset, pair_features
 from comotion.errors import ConfigError, NumericalError
-from comotion.gauss import Gaussian, regularize_spd
+from comotion.gauss import Gaussian
 from comotion.hmm import (
     Hmm,
     TransitionStateModel,
     em_fit,
+    fit_gaussian,
     forward,
     forward_unobserved,
     init_segments,
@@ -69,8 +70,6 @@ _FIELD_RULES = (  # (TrainConfig fields, what each must be, its test)
     (("val_fraction",), "a number in [0, 1)", lambda v: isinstance(v, _NUM) and 0 <= v < 1),
     (("hidden",), "a list of positive integers",
      lambda v: isinstance(v, (list, tuple)) and all(isinstance(h, _INT) and h > 0 for h in v)),
-    (("seeds",), "a list of integers",
-     lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, _INT) for s in v)),
 )
 
 
@@ -85,7 +84,6 @@ class TrainConfig:
     d_z: int = 5
     hidden: tuple[int, ...] = (40, 20)
     variant: Variant = Variant("v1")
-    seeds: tuple[int, ...] = (0,)
     hmm_refit_every: int = 1
     em_max_iters: int = 20
     em_tol: float = 1e-4
@@ -102,13 +100,11 @@ class TrainConfig:
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
         d["variant"] = self.variant.tag
         d["hidden"] = list(self.hidden)
-        d["seeds"] = list(self.seeds)
         return d
 
     @classmethod
@@ -257,9 +253,8 @@ def _fit_feature_stats(v_h: Vae, v_r: Vae, fit: list[_TrajFeatures]) -> None:
         v_r.fit_feature_stats(x_r)
 
 
-def train_hhi(dataset: Dataset, config: TrainConfig, seed: int | None = None) -> ModelBundle:
+def train_hhi(dataset: Dataset, config: TrainConfig, seed: int = 0) -> ModelBundle:
     """Stage one: joint two-agent training with alternating model refits."""
-    seed = config.seeds[0] if seed is None else seed
     rng = np.random.default_rng(seed)
     feats = _featurize(dataset.subset("train"), config.window)
     if not feats:
@@ -370,14 +365,8 @@ def train_hri(
             eps_r = rng.standard_normal((B, k, config.d_z))
             cond_z = None
             if variant.conditional:
-                eps_post = eps_cond = None
-                if variant.from_samples:
-                    eps_post = rng.standard_normal((B, k, config.d_z))
-                else:
-                    eps_cond = rng.standard_normal((B, k, config.d_z))
-                cond_z = conditional_latents(
-                    hmm_c, mu_h, var_h, alphas, variant, eps_post, eps_cond, pre
-                )
+                eps = rng.standard_normal((B, k, config.d_z))
+                cond_z = conditional_latents(hmm_c, mu_h, var_h, alphas, variant, eps, pre)
             loss, grads, parts = hri_loss(
                 v_r, f.x_r, packs[f.label][1], idx, config.beta, eps_r, cond_z,
                 config.cond_weight,
@@ -417,25 +406,19 @@ def fit_transition_states(
                 raise ConfigError(f"config field contact_states.{label}: {exc}") from None
         if tsm is None:
             continue
-        points = []
+        reach, contact = sorted(tsm.reach_states), sorted(tsm.contact_states)
+        points = [np.empty((0, hmm_c.d_z))]
         for f in feats:
             if f.label != label:
                 continue
             mu_h, _, _, _ = encode_batch(bundle.human_vae, f.x_h)
             mu_r, _, _, _ = encode_batch(bundle.robot_vae, f.x_r)
-            a_h = forward(hmm_c, mu_h, "h")
-            a_joint = forward(hmm_c, np.hstack([mu_h, mu_r]), "full")
-            i_h = np.argmax(a_h, axis=1)
-            i_j = np.argmax(a_joint, axis=1)
-            for t in range(mu_h.shape[0]):
-                if int(i_h[t]) in tsm.reach_states and int(i_j[t]) in tsm.contact_states:
-                    points.append(mu_h[t])
-        if points:
-            pts = np.asarray(points)
-            mean = pts.mean(axis=0)
-            diff = pts - mean
-            cov = regularize_spd(diff.T @ diff / pts.shape[0])
-            gate = Gaussian(mean, cov)
+            i_h = np.argmax(forward(hmm_c, mu_h, "h"), axis=1)
+            i_j = np.argmax(forward(hmm_c, np.hstack([mu_h, mu_r]), "full"), axis=1)
+            points.append(mu_h[np.isin(i_h, reach) & np.isin(i_j, contact)])
+        pts = np.concatenate(points)
+        if len(pts):
+            gate = Gaussian(*fit_gaussian(pts))
         else:
             log.warning(
                 "no misclassified boundary points for %r; gate disabled", label
@@ -506,7 +489,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ConfigError(f"malformed model file {path}: field {bad} is not finite")
     field = "config"
     try:
-        config = TrainConfig.from_dict(doc["config"])
+        # checkpoints written before ``seeds`` left the config still carry it
+        config = TrainConfig.from_dict({k: v for k, v in doc["config"].items() if k != "seeds"})
         field = "human_vae"
         human = Vae.from_dict(doc["human_vae"])
         field = "robot_vae"
@@ -519,7 +503,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             if (hmm_c.d_z, hmm_c.dim - hmm_c.d_z) != (human.d_z, robot.d_z):
                 raise ValueError(f"latent split {hmm_c.d_z}/{hmm_c.dim} differs from the VAEs'")
             tsm = entry.get("transition_model")
-            hmms[label] = (hmm_c, TransitionStateModel.from_dict(tsm) if tsm else None)
+            hmms[label] = (hmm_c, TransitionStateModel.from_dict(tsm, hmm_c) if tsm else None)
         field = "seed"
         return ModelBundle(human, robot, hmms, config, int(doc["seed"]))
     except (AttributeError, ConfigError, IndexError, KeyError, TypeError, ValueError) as exc:

@@ -302,28 +302,21 @@ def _sampling_chol(covs: np.ndarray) -> np.ndarray:
         return out
 
 
-@dataclass
-class CondDistribution:
-    """Frozen per-timestep conditional r distribution (v3 family)."""
-
-    mean: np.ndarray  # (B, d_z)
-    chol: np.ndarray  # (B, d_z, d_z), sampling factor incl. diagonal bump
-
-
 def conditional_precompute(
     hmm: Hmm,
     mu_h: np.ndarray,
     var_h: np.ndarray,
     alphas: np.ndarray,
     variant: Variant,
-) -> CondDistribution | None:
-    """Precompute the conditional distribution where it does not depend on
-    the sampling noise (v3 family); None for v1/v2."""
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The v3 family's conditional r distribution, which no noise draw
+    changes: (means (B, d_z), sampling factors (B, d_z, d_z) with the graded
+    diagonal bump) of ``conditional_moments``; None for v1/v2."""
     if not variant.conditional or variant.from_samples:
         return None
     post_var = var_h if variant.uses_cov else None
     means, covs = conditional_moments(hmm, mu_h, post_var, alphas)
-    return CondDistribution(means, _sampling_chol(covs))
+    return means, _sampling_chol(covs)
 
 
 def conditional_latents(
@@ -332,29 +325,29 @@ def conditional_latents(
     var_h: np.ndarray,
     alphas: np.ndarray,
     variant: Variant,
-    eps_post: np.ndarray | None,
-    eps_cond: np.ndarray | None,
-    pre: CondDistribution | None = None,
+    eps: np.ndarray,
+    pre: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray | None:
     """Latent inputs for the conditional reconstruction term, (B, k, d_z).
 
-    v2.x: condition fresh posterior samples and return the resulting
-    conditional means. v3.x: draw from the (precomputable) conditional
-    distribution. Everything is constant w.r.t. the trainable network, so
-    callers backpropagate only through the decoder.
+    ``eps`` is one (B, k, d_z) standard-normal draw. v2.x perturbs the
+    posterior with it and returns the conditional means of those samples;
+    v3.x draws ``means + chol @ eps`` from ``pre``, the
+    ``conditional_precompute`` of the same arguments (None for v1/v2).
+    Everything is constant w.r.t. the trainable network, so callers
+    backpropagate only through the decoder.
     """
     if not variant.conditional:
         return None
     if variant.from_samples:
-        B, k = eps_post.shape[0], eps_post.shape[1]
-        z_h = mu_h[:, None, :] + np.sqrt(var_h)[:, None, :] * eps_post
+        B, k = eps.shape[0], eps.shape[1]
+        z_h = mu_h[:, None, :] + np.sqrt(var_h)[:, None, :] * eps
         flat = z_h.reshape(B * k, -1)
         var_rep = np.repeat(var_h, k, axis=0) if variant.uses_cov else None
         alpha_rep = np.repeat(alphas, k, axis=0)
         return conditional_means(hmm, flat, var_rep, alpha_rep).reshape(B, k, -1)
-    if pre is None:
-        pre = conditional_precompute(hmm, mu_h, var_h, alphas, variant)
-    return pre.mean[:, None, :] + np.einsum("bij,bkj->bki", pre.chol, eps_cond)
+    means, chol = pre
+    return means[:, None, :] + np.einsum("bij,bkj->bki", chol, eps)
 
 
 def hri_loss(

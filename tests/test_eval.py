@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from comotion import evaluate
-from comotion.errors import ConfigError
+from comotion.errors import ConfigError, NumericalError
 from comotion.evaluate import (
     config_fingerprint,
     load_experiment_dataset,
@@ -183,3 +183,25 @@ def test_run_experiment_predicts_each_test_trajectory_once(tmp_path, monkeypatch
     assert n_test >= 1
     assert len(calls) == n_test * 2 * 2 == len(report.rows)
     assert len(list((tmp_path / "dumps").rglob("*_pred.npy"))) == len(calls)
+
+
+def test_numerical_error_in_train_hhi_carries_the_stage_prefix(tmp_path, monkeypatch):
+    config = {
+        "dataset": {
+            "synth": {"interactions": [{"name": "greet", "n_traj": 5, "length": 30, "noise": 0.05}]},
+            "seed": 0,
+        },
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+        "seeds": [4],
+    }
+
+    def diverging(*args, **kwargs):
+        raise NumericalError("training loss diverged at epoch 0")
+
+    monkeypatch.setattr(evaluate, "train_hhi", diverging)
+    with pytest.raises(NumericalError) as err:
+        run_experiment(config, tmp_path)
+    fingerprint = config_fingerprint(config, 4)
+    assert str(err.value) == (
+        f"[stage train-hhi, config {fingerprint}] training loss diverged at epoch 0"
+    )

@@ -478,12 +478,20 @@ def test_conditional_means_equal_conditional_moments_means(mode):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("post_var", [None, np.zeros((1, 2))])
-def test_conditional_means_singular_gain_is_numerical_error(post_var):
+@pytest.mark.parametrize(
+    "condition, post_var",
+    [
+        pytest.param(conditional_means, None, id="None"),
+        pytest.param(conditional_means, np.zeros((1, 2)), id="post_var1"),
+        pytest.param(conditional_moments, None, id="moments-None"),
+        pytest.param(conditional_moments, np.zeros((1, 2)), id="moments-post_var1"),
+    ],
+)
+def test_conditional_means_singular_gain_is_numerical_error(condition, post_var):
     h = random_hmm(np.random.default_rng(27), 2, 2)
     h.covs[1, :2, :2] = 0.0
     with pytest.raises(NumericalError, match="singular"):
-        conditional_means(h, np.zeros((1, 2)), post_var, np.array([[0.5, 0.5]]))
+        condition(h, np.zeros((1, 2)), post_var, np.array([[0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

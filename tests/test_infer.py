@@ -31,7 +31,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def trained(dataset):
-    cfg = TrainConfig(epochs=30, seeds=(0,), n_states=4, variant=Variant("v3.2"))
+    cfg = TrainConfig(epochs=30, n_states=4, variant=Variant("v3.2"))
     hhi = train_hhi(dataset, cfg, seed=0)
     return train_hri(dataset, hhi, cfg, seed=0)
 

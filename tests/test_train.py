@@ -31,7 +31,7 @@ def small_dataset():
 
 @pytest.fixture(scope="module")
 def small_config():
-    return TrainConfig(epochs=25, seeds=(0,), n_states=4, variant=Variant("v3.2"))
+    return TrainConfig(epochs=25, n_states=4, variant=Variant("v3.2"))
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def test_config_rejects_nonpositive():
 
 
 def test_config_round_trip():
-    cfg = TrainConfig(epochs=7, variant=Variant("v2.2"), seeds=(1, 2))
+    cfg = TrainConfig(epochs=7, variant=Variant("v2.2"))
     cfg2 = TrainConfig.from_dict(cfg.to_dict())
     assert cfg2 == cfg
 
@@ -151,7 +151,7 @@ def test_hri_freezes_human_vae_and_hmms(small_dataset, small_config, hhi_bundle)
 
 
 def test_hri_v1_matches_robot_half_objective(small_dataset, hhi_bundle):
-    cfg = TrainConfig(epochs=2, seeds=(0,), n_states=4, variant=Variant("v1"))
+    cfg = TrainConfig(epochs=2, n_states=4, variant=Variant("v1"))
     b1 = train_hri(small_dataset, hhi_bundle, cfg, seed=0)
     b2 = train_hri(small_dataset, hhi_bundle, cfg, seed=0)
     assert b1.trace[-1]["total"] == b2.trace[-1]["total"]
@@ -352,6 +352,20 @@ def test_checkpoint_keeps_state_sets_only_in_transition_model(tmp_path, hhi_bund
     assert loaded.contact_states == {2} and loaded.reach_states == {0, 1}
 
 
+def test_checkpoint_with_config_seeds_loads(tmp_path, hhi_bundle):
+    """Checkpoints written while the config still had ``seeds`` load alike."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_bundle(hhi_bundle, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["seeds"] = [0]
+    path.write_text(json.dumps(doc))
+    loaded = load_bundle(path)
+    assert loaded.config == hhi_bundle.config
+    assert "seeds" not in loaded.config.to_dict()
+
+
 def test_write_trace_format(tmp_path, hhi_bundle):
     p = tmp_path / "trace.csv"
     write_trace(p, hhi_bundle.trace)
@@ -395,10 +409,36 @@ def _pi_off_one(doc):
     doc["interactions"]["greet"]["pi"][0] += 0.5
 
 
+def _write_transition_model(doc, contact, gate_width=None):
+    """Give greet a model with ``contact`` states, reach state 0 and, given a
+    width, an identity gate that wide."""
+    gate = None
+    if gate_width is not None:
+        gate = {"mean": [0.0] * gate_width, "cov": np.eye(gate_width).tolist()}
+    doc["interactions"]["greet"]["transition_model"] = {
+        "contact_states": contact, "reach_states": [0], "gate": gate,
+    }
+
+
+def _state_out_of_range(doc):
+    _write_transition_model(doc, [7])
+
+
+def _negative_state(doc):
+    _write_transition_model(doc, [-1])
+
+
+def _narrow_gate(doc):
+    _write_transition_model(doc, [1, 2], gate_width=2)
+
+
 @pytest.mark.parametrize(
     "damage, field",
     [
         (None, "Expecting"),  # truncated mid-document
+        (_state_out_of_range, "field interactions.greet: ValueError('state indices [0, 7] outside"),
+        (_negative_state, "field interactions.greet: ValueError('state indices [-1, 0] outside"),
+        (_narrow_gate, "field interactions.greet: ValueError('gate is 2 wide, not d_z = 5')"),
         (_drop_human_vae, "field human_vae: KeyError"),
         (_corrupt, "interactions.greet.components.2.cov.1.1 is not finite"),
         (_misshape_decoder, "field robot_vae"),

@@ -17,6 +17,7 @@ from comotion.vae import (
     _recon_stream,
     _sampling_chol,
     conditional_latents,
+    conditional_precompute,
     decode,
     encode_batch,
     hhi_loss,
@@ -210,6 +211,14 @@ def hri_setup():
     return vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps
 
 
+def v3_or_v2_latents(hm, mu_h, var_h, alphas, variant, eps):
+    """``conditional_latents`` fed the draw its family perturbs: the posterior
+    noise for v2, the conditional noise and the precompute for v3."""
+    pre = conditional_precompute(hm, mu_h, var_h, alphas, variant)
+    noise = eps["post"] if variant.from_samples else eps["cond"]
+    return conditional_latents(hm, mu_h, var_h, alphas, variant, noise, pre)
+
+
 def test_hri_v1_equals_independent_recomputation(hri_setup):
     vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
     beta = 5e-3
@@ -235,9 +244,7 @@ def test_hri_all_variants_pass_grad_check(hri_setup):
     vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
     for tag in ("v1", "v2.1", "v2.2", "v3.1", "v3.2"):
         variant = Variant(tag)
-        cond_z = conditional_latents(
-            hm, mu_h, var_h, alphas, variant, eps["post"], eps["cond"]
-        )
+        cond_z = v3_or_v2_latents(hm, mu_h, var_h, alphas, variant, eps)
 
         def loss(params, cond_z=cond_z):
             value, grads, _ = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], cond_z)
@@ -249,9 +256,7 @@ def test_hri_all_variants_pass_grad_check(hri_setup):
 def test_hri_conditional_term_nonnegative(hri_setup):
     vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
     for tag in ("v2.1", "v2.2", "v3.1", "v3.2"):
-        cond_z = conditional_latents(
-            hm, mu_h, var_h, alphas, Variant(tag), eps["post"], eps["cond"]
-        )
+        cond_z = v3_or_v2_latents(hm, mu_h, var_h, alphas, Variant(tag), eps)
         _, _, parts = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], cond_z)
         assert parts["cond"] >= 0.0
 
@@ -259,8 +264,8 @@ def test_hri_conditional_term_nonnegative(hri_setup):
 def test_v32_converges_to_v31_as_posterior_cov_vanishes(hri_setup):
     vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
     tiny = np.full_like(var_h, 1e-8)
-    z31 = conditional_latents(hm, mu_h, tiny, alphas, Variant("v3.1"), None, eps["cond"])
-    z32 = conditional_latents(hm, mu_h, tiny, alphas, Variant("v3.2"), None, eps["cond"])
+    z31 = v3_or_v2_latents(hm, mu_h, tiny, alphas, Variant("v3.1"), eps)
+    z32 = v3_or_v2_latents(hm, mu_h, tiny, alphas, Variant("v3.2"), eps)
     _, _, p31 = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], z31)
     _, _, p32 = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], z32)
     assert p32["cond"] == pytest.approx(p31["cond"], abs=1e-5)
@@ -269,13 +274,30 @@ def test_v32_converges_to_v31_as_posterior_cov_vanishes(hri_setup):
 def test_v2_conditions_samples_v3_conditions_mean(hri_setup):
     vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
     z2 = conditional_latents(hm, mu_h, var_h, alphas, Variant("v2.1"), eps["post"], None)
-    z3 = conditional_latents(hm, mu_h, var_h, alphas, Variant("v3.1"), None, eps["cond"])
+    z3 = v3_or_v2_latents(hm, mu_h, var_h, alphas, Variant("v3.1"), eps)
     # v2 latents vary with the posterior noise draw, v3 with the conditional draw
     assert z2.shape == z3.shape
     zero_post = np.zeros_like(eps["post"])
     z2_mean = conditional_latents(hm, mu_h, var_h, alphas, Variant("v2.1"), zero_post, None)
     assert np.all(np.var(z2_mean, axis=1) < 1e-20)  # collapsed without sampling noise
     assert np.any(np.var(z2, axis=1) > 1e-6)
+
+
+@pytest.mark.parametrize("tag", ["v3.1", "v3.2"])
+def test_v3_latents_are_precomputed_means_plus_chol_eps(hri_setup, tag):
+    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    variant = Variant(tag)
+    means, chol = conditional_precompute(hm, mu_h, var_h, alphas, variant)
+    z = conditional_latents(hm, mu_h, var_h, alphas, variant, eps["cond"], (means, chol))
+    post_var = var_h if variant.uses_cov else None
+    want_means, covs = conditional_moments(hm, mu_h, post_var, alphas)
+    np.testing.assert_array_equal(means, want_means)
+    np.testing.assert_array_equal(chol, _sampling_chol(covs))
+    B, k, _ = eps["cond"].shape
+    for b in range(B):
+        for s in range(k):
+            want = means[b] + chol[b] @ eps["cond"][b, s]
+            np.testing.assert_allclose(z[b, s], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tag", ["v2.1", "v2.2"])
