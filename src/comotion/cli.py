@@ -11,23 +11,19 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, SynthSpec, load_dataset, save_dataset, synth_generate
+from comotion.data import Dataset, load_dataset, pair_features, save_dataset
 from comotion.errors import ConfigError, DataError, NumericalError
-from comotion.evaluate import (
-    load_config,
-    load_experiment_dataset,
-    run_experiment,
-    state_sets_from_config,
-)
-from comotion.hmm import forward_unobserved
+from comotion.evaluate import Experiment, load_config, parse_experiment, run_experiment
+from comotion.hmm import forward, forward_unobserved
 from comotion.infer import rollout
 from comotion.kin import default_arm_chain, fk, ik_with_prior, load_chain
 from comotion.train import (
-    TrainConfig,
+    ModelBundle,
     fit_transition_states,
     load_bundle,
     save_bundle,
@@ -37,28 +33,27 @@ from comotion.train import (
 )
 from comotion.vae import encode_batch
 
-log = logging.getLogger("comotion")
 
-
-def _load_config(args) -> dict:
-    """The ``--config`` file, or {}, with the training commands' ``--data``
-    and ``--variant`` applied over its dataset and ``train.variant``."""
+def _experiment(args) -> Experiment:
+    """The parsed ``--config`` file, or {}, with the training commands'
+    ``--data`` as its dataset and ``--variant`` as its stage variant."""
     config = load_config(args.config) if args.config else {}
-    if getattr(args, "data", None):
-        config = {**config, "dataset": args.data}
-    if getattr(args, "variant", None):
-        config = {**config, "train": {**config.get("train", {}), "variant": args.variant}}
-    return config
+    if args.data:
+        config["dataset"] = args.data
+    exp = parse_experiment(config)
+    if args.variant:
+        exp = replace(exp, train=replace(exp.train, variant=args.variant))
+    return exp
 
 
 def cmd_synth(args) -> int:
-    """Generate from the config's ``dataset.synth`` spec, or from the default
-    spec without ``--config``."""
-    src = _load_config(args).get("dataset") if args.config else {"synth": {}}
+    """Write the config's ``dataset.synth`` dataset, or the default spec
+    seeded with ``--seed`` without ``--config``."""
+    config = load_config(args.config) if args.config else {"dataset": {"synth": {}, "seed": args.seed}}
+    src = config.get("dataset")
     if not (isinstance(src, dict) and "synth" in src):
         raise ConfigError(f"config field dataset must hold a synth spec, got {src!r}")
-    spec = SynthSpec.from_dict(src["synth"])
-    ds = synth_generate(spec, np.random.default_rng(args.seed))
+    ds = parse_experiment(config).dataset
     out = Path(args.out or "synth_dataset")
     save_dataset(ds, out)
     print(f"wrote {len(ds.pairs)} trajectories to {out}")
@@ -66,33 +61,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_hhi(args) -> int:
-    config = _load_config(args)
-    ds = load_experiment_dataset(config)
-    cfg = TrainConfig.from_dict(config.get("train", {}))
-    bundle = train_hhi(ds, cfg, args.seed)
-    out = Path(args.out or "hhi_out")
-    save_bundle(bundle, out / "model.json")
-    write_trace(out / "loss_trace.csv", bundle.trace)
-    print(f"trained stage-one model (seed {bundle.seed}) -> {out/'model.json'}")
-    if bundle.trace:
-        print(f"final total loss {bundle.trace[-1]['total']:.6f} "
-              f"val MSE {bundle.trace[-1]['val_mse']:.6f}")
-    return 0
+    exp = _experiment(args)
+    bundle = train_hhi(exp.dataset, exp.train, args.seed)
+    return _save_trained(bundle, Path(args.out or "hhi_out"),
+                         f"stage-one model (seed {bundle.seed})")
 
 
 def cmd_train_hri(args) -> int:
-    config = _load_config(args)
-    ds = load_experiment_dataset(config)
-    cfg = TrainConfig.from_dict(config.get("train", {}))
-    state_sets = state_sets_from_config(config)
-    hhi = load_bundle(args.hhi)
-    bundle = train_hri(ds, hhi, cfg, args.seed)
-    if state_sets:
-        bundle = fit_transition_states(bundle, ds, state_sets)
-    out = Path(args.out or "hri_out")
+    exp = _experiment(args)
+    bundle = train_hri(exp.dataset, load_bundle(args.hhi), exp.train, args.seed)
+    bundle = fit_transition_states(bundle, exp.dataset, exp.state_sets)
+    return _save_trained(bundle, Path(args.out or "hri_out"),
+                         f"stage-two model ({exp.train.variant.tag}, seed {bundle.seed})")
+
+
+def _save_trained(bundle: ModelBundle, out: Path, what: str) -> int:
     save_bundle(bundle, out / "model.json")
     write_trace(out / "loss_trace.csv", bundle.trace)
-    print(f"trained stage-two model ({cfg.variant.tag}, seed {bundle.seed}) -> {out/'model.json'}")
+    print(f"trained {what} -> {out/'model.json'}")
     if bundle.trace:
         print(f"final total loss {bundle.trace[-1]['total']:.6f} "
               f"val MSE {bundle.trace[-1]['val_mse']:.6f}")
@@ -100,16 +86,14 @@ def cmd_train_hri(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    if not config:
+    if not args.config:
         raise ConfigError("eval requires --config")
+    config = load_config(args.config)
     if args.threads:
         config["threads"] = args.threads
-    if args.seed is not None:
-        config.setdefault("seeds", [args.seed])
+    config.setdefault("seeds", [args.seed])
     report = run_experiment(config, args.out)
-    out = Path(args.out or config.get("out", "experiment_out"))
-    print(f"report written to {out/'report.csv'} and {out/'report.md'}")
+    print(f"report written to {report.out/'report.csv'} and {report.out/'report.md'}")
     for (tag, label), agg in sorted(report.aggregates.items()):
         if label == "all":
             print(f"  {tag}: mean MSE {agg['mean']:.6f} +/- {agg['std']:.6f}")
@@ -174,6 +158,7 @@ def cmd_inspect_hmm(args) -> int:
     if args.horizon < 1:
         raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
     bundle = load_bundle(args.model)
+    ds = load_dataset(args.data) if args.data else None
     for label, (hmm, tsm) in sorted(bundle.hmms.items()):
         print(f"interaction {label!r}: {hmm.n_states} states, dim {hmm.dim}")
         abar = forward_unobserved(hmm, args.horizon)
@@ -191,16 +176,12 @@ def cmd_inspect_hmm(args) -> int:
                 f"  contact={sorted(tsm.contact_states)} reach={sorted(tsm.reach_states)} "
                 f"gate={'fitted' if tsm.gate else 'none'}"
             )
-        if args.data:
-            ds = load_dataset(args.data)
+        if ds is not None:
             _print_state_timing(bundle, ds, label)
     return 0
 
 
 def _print_state_timing(bundle, ds: Dataset, label: str) -> None:
-    from comotion.data import pair_features
-    from comotion.hmm import forward
-
     hmm = bundle.hmms[label][0]
     w = bundle.config.window
     firsts: dict[int, list[int]] = {i: [] for i in range(hmm.n_states)}
@@ -227,7 +208,8 @@ def _print_state_timing(bundle, ds: Dataset, label: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="comotion", description=__doc__)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="training seed; for synth, the dataset seed, used only without --config")
     p.add_argument("--out", help="output directory or file")
     p.add_argument("--threads", type=int, default=0, help="worker processes for eval")
     p.add_argument("--log-level", default="WARNING")

@@ -1,7 +1,8 @@
 """Dataset ingestion, windowed featurization, synthetic data.
 
-On-disk format: a directory with ``manifest.json`` listing trajectories and
-one CSV per agent per trajectory (header row, fixed column order). The
+On-disk format: a directory with ``manifest.json`` holding the frame rate
+and the trajectory list (no window width: that is ``TrainConfig.window``),
+and one CSV per agent per trajectory (header row, fixed column order). The
 observed agent streams 3 arm joints (shoulder, elbow, wrist) as 3D
 positions with the shoulder as origin; the generated agent streams joint
 angles. Features are sliding windows of 5 frames: positions plus
@@ -55,7 +56,6 @@ class TrajectoryPair:
 @dataclass
 class Dataset:
     pairs: list[TrajectoryPair]
-    w: int = 5
     rate: float = 20.0
     assignment: list[str] | None = None  # "train"/"test" per pair
 
@@ -137,6 +137,7 @@ class SynthSpec:
         ``synth.rate`` or ``synth.interactions.0.n_traj``."""
         if not isinstance(d, dict):
             raise ConfigError(f"config field synth must be an object, got {d!r}")
+        config_keys(d, ("interactions", "rate"), "synth")
         entries = config_field(d, "interactions", [{}], "synth.interactions",
                                "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
         inter = []
@@ -144,9 +145,7 @@ class SynthSpec:
             name = f"synth.interactions.{k}"
             if not isinstance(entry, dict):
                 raise ConfigError(f"config field {name} must be an object, got {entry!r}")
-            unknown = sorted(set(entry) - set(_INTERACTION_RULES))
-            if unknown:
-                raise ConfigError(f"config field synth.interactions: unknown keys {unknown}")
+            config_keys(entry, _INTERACTION_RULES, "synth.interactions")
             for key, (what, ok) in _INTERACTION_RULES.items():
                 config_field(entry, key, getattr(SynthInteraction, key), f"{name}.{key}", what, ok)
             inter.append(SynthInteraction(**entry))
@@ -172,6 +171,13 @@ def config_field(entry: dict, key: str, default, name: str, what: str, ok):
     if not ok(value):
         raise ConfigError(f"config field {name} must be {what}, got {value!r}")
     return value
+
+
+def config_keys(entry: dict, known, name: str) -> None:
+    """A ConfigError naming ``entry``'s keys outside ``known``, if any."""
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ConfigError(f"config field {name}: unknown keys {unknown}")
 
 
 _REST = {"elbow": np.array([0.02, -0.09, -0.26]), "wrist": np.array([0.04, -0.08, -0.52])}
@@ -255,7 +261,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             k: v for k, v in pair.meta.items() if not isinstance(v, np.ndarray)
         }
         entries.append({"label": pair.label, "h": h_name, "r": r_name, "meta": meta})
-    manifest = {"rate": dataset.rate, "w": dataset.w, "trajectories": entries}
+    manifest = {"rate": dataset.rate, "trajectories": entries}
     with open(path / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
@@ -298,9 +304,7 @@ def load_dataset(path: str | Path) -> Dataset:
     entries = manifest.get("trajectories") if isinstance(manifest, dict) else None
     if not (isinstance(entries, list) and entries):
         raise DataError(f"{bad} trajectories must be a non-empty list, got {entries!r}")
-    w, rate = manifest.get("w", 5), manifest.get("rate", 20.0)
-    if not (isinstance(w, _INT) and w > 0):
-        raise DataError(f"{bad} w must be a positive integer, got {w!r}")
+    rate = manifest.get("rate", 20.0)
     if not (isinstance(rate, _NUM) and rate > 0):
         raise DataError(f"{bad} rate must be a positive number, got {rate!r}")
     pairs = []
@@ -322,7 +326,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 dict(meta),
             )
         )
-    return Dataset(pairs, w=int(w), rate=float(rate))
+    return Dataset(pairs, rate=float(rate))
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> Dataset:

@@ -1,5 +1,8 @@
 """Evaluation metrics, experiment orchestration and report emission.
 
+An experiment config is read in one place: ``parse_experiment`` checks
+every field once into the ``Experiment`` record every command runs from.
+
 ``run_experiment`` is the reproducibility entry point: one config file in,
 a deterministic ``report.csv`` (per-trajectory conditional MSE per variant,
 seed and interaction), a human-readable ``report.md`` with aggregate tables
@@ -14,11 +17,10 @@ import contextlib
 import hashlib
 import itertools
 import json
-import logging
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from comotion.data import (
     Dataset,
     SynthSpec,
     config_field,
+    config_keys,
     load_dataset,
     pair_features,
     split,
@@ -45,8 +48,6 @@ from comotion.train import (
     write_trace,
 )
 from comotion.vae import Variant
-
-log = logging.getLogger(__name__)
 
 
 def mse(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -133,7 +134,21 @@ class EvalReport:
     rows: list[EvalRow]
     aggregates: dict  # (variant, interaction) -> {"mean":, "std":, "n":, "mean_last":}
     p_values: dict  # (interaction, variant_a, variant_b) -> p
-    config: dict
+    out: Path  # where report.csv, report.md and the per-seed files went
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment config, read and checked by ``parse_experiment``."""
+
+    config: dict  # the dict it was read from; fingerprints hash it
+    train: TrainConfig
+    variants: tuple[str, ...]  # checked tags
+    seeds: tuple[int, ...]
+    threads: int
+    out: Path
+    state_sets: dict[str, tuple[list[int], list[int]]]  # label -> (contact, reach)
+    dataset: Dataset  # with its train/test split
 
 
 @contextlib.contextmanager
@@ -165,28 +180,65 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def load_experiment_dataset(config: dict) -> Dataset:
-    """The config's dataset, a directory or a ``synth`` spec, with its
-    train/test split."""
-    src = config.get("dataset")
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral)
+
+
+_STATE_MAP = ("an object mapping labels to state lists", lambda v: isinstance(v, dict))
+_CONFIG_RULES = {  # field other than dataset: (default, what it must be, its test)
+    "split_fraction": (0.8, "in (0, 1)", lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0),
+    "split_seed": (0, "an integer", _is_int),
+    "train": ({}, "an object", lambda v: isinstance(v, dict)),
+    "variants": (["v1"], "a non-empty list of tags", lambda v: isinstance(v, list) and len(v) > 0),
+    "seeds": ([0], "a non-empty list of integers",
+              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v))),
+    "threads": (1, "a positive integer", lambda v: _is_int(v) and v > 0),
+    "out": ("experiment_out", "a path string", lambda v: isinstance(v, str)),
+    "contact_states": ({}, *_STATE_MAP),
+    "reach_states": ({}, *_STATE_MAP),
+}
+
+
+def parse_experiment(config: dict) -> Experiment:
+    """Read and check every field of an experiment config, the dataset
+    last; an unknown key or a malformed value is a ConfigError naming the
+    field, and so are state sets a ``TransitionStateModel`` rejects (no
+    contact state, or contact and reach states overlap) and state sets for
+    a label the dataset lacks."""
+    config_keys(config, {"dataset", *_CONFIG_RULES}, "(top level)")
+    f = {key: config_field(config, key, default, key, what, ok)
+         for key, (default, what, ok) in _CONFIG_RULES.items()}
+    config_keys(f["reach_states"], f["contact_states"], "reach_states")
+    state_sets = {label: (c, f["reach_states"].get(label, []))
+                  for label, c in f["contact_states"].items()}
+    for label, (c, r) in state_sets.items():
+        try:
+            if not all(map(_is_int, [*c, *r])):
+                raise ValueError(f"state indices must be integers, got {c!r} and {r!r}")
+            TransitionStateModel(c, r)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config field contact_states.{label}: {exc}") from None
+    train = TrainConfig.from_dict(f["train"])
+    # a tag given twice trains and reports once
+    variants = tuple(dict.fromkeys(Variant(tag).tag for tag in f["variants"]))
+    dataset = _parse_dataset(config.get("dataset"))
+    config_keys(state_sets, dataset.labels, "contact_states")
+    return Experiment(config, train, variants, tuple(f["seeds"]), f["threads"], Path(f["out"]),
+                      state_sets, split(dataset, float(f["split_fraction"]), int(f["split_seed"])))
+
+
+def _parse_dataset(src) -> Dataset:
+    """The config's dataset: a directory, or a ``synth`` spec and its seed."""
     if src is None:
         raise ConfigError("config lacks a 'dataset' entry")
     if isinstance(src, str):
-        ds = load_dataset(src)
-    elif isinstance(src, dict) and "synth" in src:
-        spec = SynthSpec.from_dict(src["synth"])
-        seed = config_field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
-        ds = synth_generate(spec, np.random.default_rng(seed))
-    else:
+        return load_dataset(src)
+    if not (isinstance(src, dict) and "synth" in src):
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
-    fraction = config_field(config, "split_fraction", 0.8, "split_fraction", "in (0, 1)",
-                            lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0)
-    split_seed = config_field(config, "split_seed", 0, "split_seed", "an integer", _is_int)
-    return split(ds, float(fraction), int(split_seed))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral)
+    config_keys(src, ("synth", "seed"), "dataset")
+    spec = SynthSpec.from_dict(src["synth"])
+    seed = config_field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
+    return synth_generate(spec, np.random.default_rng(seed))
 
 
 def evaluate_bundle(
@@ -225,91 +277,51 @@ def evaluate_bundle(
     return out
 
 
-def _seed_job(args: dict) -> dict:
-    """Train one seed across all variants; run in a worker process."""
-    config = args["config"]
-    seed = args["seed"]
-    out_dir = Path(args["out_dir"])
-    dataset = load_experiment_dataset(config)
-    base_cfg = TrainConfig.from_dict(config.get("train", {}))
-    fingerprint = config_fingerprint(config, seed)
+def _seed_job(exp: Experiment, seed: int) -> dict:
+    """Train one seed across all variants; run in a worker process. Returns
+    the seed's report rows and each variant's final validation MSE."""
+    fingerprint = config_fingerprint(exp.config, seed)
     with _stage("train-hhi", fingerprint):
-        hhi = train_hhi(dataset, base_cfg, seed)
-    seed_dir = out_dir / f"seed{seed}"
+        hhi = train_hhi(exp.dataset, exp.train, seed)
+    seed_dir = exp.out / f"seed{seed}"
     save_bundle(hhi, seed_dir / "hhi_model.json")
     write_trace(seed_dir / "hhi_loss_trace.csv", hhi.trace)
-    results: dict = {"seed": seed, "variants": {}}
-    state_sets = state_sets_from_config(config)
-    for tag in config.get("variants", ["v1"]):
-        cfg_v = replace(base_cfg, variant=Variant(tag))
+    rows, val_mse = [], {}
+    for tag in exp.variants:
         with _stage(f"train-hri[{tag}]", fingerprint):
-            hri = train_hri(dataset, hhi, cfg_v, seed)
-        if state_sets:
-            hri = fit_transition_states(hri, dataset, state_sets)
+            hri = train_hri(exp.dataset, hhi, replace(exp.train, variant=tag), seed)
+        hri = fit_transition_states(hri, exp.dataset, exp.state_sets)
         save_bundle(hri, seed_dir / f"hri_{tag}.json")
         write_trace(seed_dir / f"hri_{tag}_trace.csv", hri.trace)
         with _stage(f"evaluate[{tag}]", fingerprint):
-            per_traj = evaluate_bundle(hri, dataset, out_dir / "dumps" / tag / f"seed{seed}")
-        val = hri.trace[-1]["val_mse"] if hri.trace else float("nan")
-        results["variants"][tag] = {"per_traj": per_traj, "val_mse": val}
-    return results
-
-
-def state_sets_from_config(config: dict) -> dict | None:
-    """Per label (contact_states, reach_states) from the config, or None
-    when it names no contact states; sets a ``TransitionStateModel`` rejects
-    (no contact state, or contact and reach states overlap) are a
-    ConfigError naming the label."""
-    contact = config.get("contact_states")
-    reach = config.get("reach_states")
-    if not contact:
-        return None
-    sets = {label: (contact[label], (reach or {}).get(label, [])) for label in contact}
-    for label, (c, r) in sets.items():
-        try:
-            TransitionStateModel(c, r)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field contact_states.{label}: {exc}") from None
-    return sets
+            per_traj = evaluate_bundle(hri, exp.dataset, exp.out / "dumps" / tag / f"seed{seed}")
+        rows += [EvalRow(tag, seed, *traj, fingerprint) for traj in per_traj]
+        val_mse[tag] = hri.trace[-1]["val_mse"] if hri.trace else float("nan")
+    return {"seed": seed, "rows": rows, "val_mse": val_mse}
 
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> EvalReport:
-    """Train, evaluate and report over the (variant x seed) grid."""
-    if not isinstance(config, dict):
-        config = load_config(config)
-    # a malformed entry fails here, before any training
-    for tag in config.get("variants", ["v1"]):
-        Variant(tag)
-    state_sets_from_config(config)
-    seeds = config_field(config, "seeds", [0], "seeds", "a non-empty list of integers",
-                         lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)))
-    threads = config_field(config, "threads", 1, "threads", "a positive integer",
-                           lambda v: _is_int(v) and v > 0)
-    out_dir = Path(out_dir or config.get("out", "experiment_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [{"config": config, "seed": s, "out_dir": str(out_dir)} for s in seeds]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_seed_job, jobs))
+    """Train, evaluate and report over the (variant x seed) grid; ``out_dir``
+    overrides the config's ``out``."""
+    exp = parse_experiment(config if isinstance(config, dict) else load_config(config))
+    if out_dir:
+        exp = replace(exp, out=Path(out_dir))
+    exp.out.mkdir(parents=True, exist_ok=True)
+    if exp.threads > 1 and len(exp.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=exp.threads) as pool:
+            results = list(pool.map(_seed_job, itertools.repeat(exp), exp.seeds))
     else:
-        results = [_seed_job(j) for j in jobs]
+        results = [_seed_job(exp, s) for s in exp.seeds]
     results.sort(key=lambda r: r["seed"])
-
-    rows: list[EvalRow] = []
-    for res in results:
-        fingerprint = config_fingerprint(config, res["seed"])
-        for tag in sorted(res["variants"]):
-            for label, idx, m_win, m_last in res["variants"][tag]["per_traj"]:
-                rows.append(
-                    EvalRow(tag, res["seed"], label, idx, m_win, m_last, fingerprint)
-                )
-    report = _assemble_report(rows, config)
-    _write_report_csv(out_dir / "report.csv", report)
-    _write_report_md(out_dir / "report.md", report, results)
+    # aggregates sum in (seed, variant, trajectory) order
+    rows = sorted((r for res in results for r in res["rows"]), key=lambda r: (r.seed, r.variant))
+    report = _assemble_report(rows, exp.out)
+    _write_report_csv(exp.out / "report.csv", report)
+    _write_report_md(exp.out / "report.md", report, results)
     return report
 
 
-def _assemble_report(rows: list[EvalRow], config: dict) -> EvalReport:
+def _assemble_report(rows: list[EvalRow], out: Path) -> EvalReport:
     variants = sorted({r.variant for r in rows})
     interactions = sorted({r.interaction for r in rows})
     aggregates = {}
@@ -331,7 +343,7 @@ def _assemble_report(rows: list[EvalRow], config: dict) -> EvalReport:
             vb = [r.mse_window for r in rows if r.variant == b and r.interaction == label]
             if len(va) >= 3 and len(vb) >= 3:
                 p_values[(label, a, b)] = mann_whitney_u(va, vb)
-    return EvalReport(rows, aggregates, p_values, config)
+    return EvalReport(rows, aggregates, p_values, out)
 
 
 def _write_report_csv(path: Path, report: EvalReport) -> None:
@@ -366,11 +378,9 @@ def _write_report_md(path: Path, report: EvalReport, results: list[dict]) -> Non
         lines.append("")
     lines.append("## Validation MSE by seed (selection metric)")
     lines.append("")
-    lines.append("| seed | " + " | ".join(sorted(results[0]["variants"])) + " |")
-    lines.append("|---" * (1 + len(results[0]["variants"])) + "|")
+    lines.append("| seed | " + " | ".join(sorted(results[0]["val_mse"])) + " |")
+    lines.append("|---" * (1 + len(results[0]["val_mse"])) + "|")
     for res in results:
-        cells = [
-            f"{res['variants'][tag]['val_mse']:.6f}" for tag in sorted(res["variants"])
-        ]
+        cells = [f"{res['val_mse'][tag]:.6f}" for tag in sorted(res["val_mse"])]
         lines.append(f"| {res['seed']} | " + " | ".join(cells) + " |")
     path.write_text("\n".join(lines) + "\n")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, pair_features
+from comotion.data import Dataset, config_keys, pair_features
 from comotion.errors import ConfigError, NumericalError
 from comotion.gauss import Gaussian
 from comotion.hmm import (
@@ -62,7 +62,7 @@ TRACE_COLUMNS = ("epoch", "recon_h", "recon_r", "kl", "cond", "total", "val_mse"
 
 _INT, _NUM = numbers.Integral, numbers.Real
 _FIELD_RULES = (  # (TrainConfig fields, what each must be, its test)
-    (("epochs", "mc_samples", "n_states", "d_z", "hmm_refit_every", "window", "em_max_iters"),
+    (("epochs", "mc_samples", "n_states", "d_z", "window", "em_max_iters"),
      "a positive integer", lambda v: isinstance(v, _INT) and v > 0),
     (("beta", "lr"), "a positive number", lambda v: isinstance(v, _NUM) and v > 0),
     (("em_tol", "weight_decay", "cond_weight"), "a non-negative number",
@@ -84,7 +84,6 @@ class TrainConfig:
     d_z: int = 5
     hidden: tuple[int, ...] = (40, 20)
     variant: Variant = Variant("v1")
-    hmm_refit_every: int = 1
     em_max_iters: int = 20
     em_tol: float = 1e-4
     window: int = 5
@@ -110,9 +109,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Config of a ``train`` entry; an unknown key is a ConfigError."""
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ConfigError(f"config field train: unknown keys {unknown}")
+        config_keys(d, cls.__dataclass_fields__, "train")
         return cls(**d)
 
 
@@ -309,8 +306,7 @@ def train_hhi(dataset: Dataset, config: TrainConfig, seed: int = 0) -> ModelBund
             for key in ("recon_h", "recon_r", "kl", "cond"):
                 sums[key] += parts[key]
             sums["total"] += loss
-        if (epoch + 1) % config.hmm_refit_every == 0 or epoch == config.epochs - 1:
-            hmms = _refit_hmms(v_h, v_r, fit, config, rng)
+        hmms = _refit_hmms(v_h, v_r, fit, config, rng)
         val_mse = _validation_mse(v_h, v_r, hmms, val, config.variant)
         trace.append(_trace_row(epoch, sums, len(fit), val_mse))
     return ModelBundle(v_h, v_r, hmms, config, seed, trace)
@@ -385,20 +381,23 @@ def train_hri(
 def fit_transition_states(
     bundle: ModelBundle,
     dataset: Dataset,
-    state_sets: dict[str, tuple[list[int], list[int]]] | None = None,
+    state_sets: dict[str, tuple[list[int], list[int]]],
 ) -> ModelBundle:
     """Fit the boundary-misclassification gate for each interaction.
 
     ``state_sets`` maps labels to (contact_states, reach_states); labels
     already carrying a configured TransitionStateModel keep their sets.
     Gate points are h-latents where the h-only segmentation says "reach"
-    while the joint segmentation says "contact".
+    while the joint segmentation says "contact". With no label to fit, the
+    bundle comes back unchanged.
     """
+    if not state_sets and all(tsm is None for _, tsm in bundle.hmms.values()):
+        return bundle
     feats = _featurize(dataset.subset("train"), bundle.config.window)
     new_hmms = dict(bundle.hmms)
     for label in sorted(new_hmms):
         hmm_c, tsm = new_hmms[label]
-        if state_sets and label in state_sets:
+        if label in state_sets:
             contact, reach = state_sets[label]
             try:
                 tsm = TransitionStateModel.for_hmm(hmm_c, contact, reach)
@@ -489,8 +488,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ConfigError(f"malformed model file {path}: field {bad} is not finite")
     field = "config"
     try:
-        # checkpoints written before ``seeds`` left the config still carry it
-        config = TrainConfig.from_dict({k: v for k, v in doc["config"].items() if k != "seeds"})
+        # checkpoints written before these keys left the config still carry them
+        config = TrainConfig.from_dict(
+            {k: v for k, v in doc["config"].items() if k not in ("seeds", "hmm_refit_every")}
+        )
         field = "human_vae"
         human = Vae.from_dict(doc["human_vae"])
         field = "robot_vae"

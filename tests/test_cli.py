@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from comotion import cli
 from comotion.cli import main
+from comotion.data import load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,40 @@ def test_eval_deterministic_report(tiny_config, tmp_path):
     assert list(out1.glob("dumps/v3.2/seed0/*_alpha.csv"))
 
 
+def test_synth_writes_the_dataset_train_hhi_trains_on(tmp_path, monkeypatch):
+    """With --config, synth generates from dataset.seed, never from --seed."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_small_config(dataset_seed=3)))
+    ds_dir = tmp_path / "ds"
+    assert main(["--config", str(cfg), "--out", str(ds_dir), "--seed", "0", "synth"]) == 0
+    seen = []
+    train_hhi = cli.train_hhi
+    monkeypatch.setattr(cli, "train_hhi", lambda ds, *rest: seen.append(ds) or train_hhi(ds, *rest))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "hhi"), "train-hhi"]) == 0
+    written, trained = load_dataset(ds_dir), seen[0]
+    assert [p.label for p in written.pairs] == [p.label for p in trained.pairs]
+    for a, b in zip(written.pairs, trained.pairs, strict=True):
+        np.testing.assert_array_equal(a.h_frames, b.h_frames)
+        np.testing.assert_array_equal(a.r_frames, b.r_frames)
+
+
+def test_inspect_hmm_loads_the_dataset_once(tmp_path, monkeypatch, capsys):
+    config = _small_config()
+    config["dataset"]["synth"]["interactions"].append(
+        {"name": "wave", "n_traj": 4, "length": 30, "noise": 0.05})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    ds, hhi = tmp_path / "ds", tmp_path / "hhi"
+    assert main(["--config", str(cfg), "--out", str(ds), "synth"]) == 0
+    assert main(["--config", str(cfg), "--out", str(hhi), "train-hhi"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset", lambda path: calls.append(path) or load_dataset(path))
+    assert main(["inspect-hmm", "--model", str(hhi / "model.json"), "--data", str(ds)]) == 0
+    out = capsys.readouterr().out
+    assert "interaction 'greet'" in out and "interaction 'wave'" in out
+    assert len(calls) == 1
+
+
 def test_missing_config_is_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "none.json"), "eval"]) == 2
 
@@ -154,7 +190,9 @@ def _small_config(**changes):
             config["dataset"]["synth"].update(value)
         elif key == "dataset_seed":
             config["dataset"]["seed"] = value
-        elif key == "train":
+        elif key == "dataset_entry":
+            config["dataset"].update(value)
+        elif key == "train" and isinstance(value, dict):
             config["train"].update(value)
         else:
             config[key] = value
@@ -193,6 +231,7 @@ HHI = ["train-hhi"]
         ({"contact_states": {"greet": [1]}, "reach_states": {"greet": [0, 1]}}, ["eval"],
          "contact_states.greet"),
         ({"contact_states": {"greet": [9]}}, ["eval"], "contact_states.greet"),
+        ({"contact_states": {"greet": [1.5]}}, ["eval"], "contact_states.greet: state indices"),
         ({"dataset": "somedir"}, ["synth"], "dataset"),
         ({"dataset": {"synth": 5}}, ["synth"], "field synth must"),
         ({"synth": {"interactions": 5}}, ["synth"], "synth.interactions must"),
@@ -200,6 +239,17 @@ HHI = ["train-hhi"]
         ({"synth": {"rate": "x"}}, ["synth"], "synth.rate"),
         ({"interaction": {"n_traj": "x"}}, ["synth"], "synth.interactions.0.n_traj"),
         ({"interaction": {"noise": "x"}}, ["synth"], "synth.interactions.0.noise"),
+        ({"contact_states": [1, 2]}, ["eval"], "field contact_states"),
+        ({"contact_states": {"greet": [2]}, "reach_states": [0]}, ["eval"], "field reach_states"),
+        ({"out": 5}, ["eval"], "field out"),
+        ({"train": 5}, HHI, "field train"),
+        ({"split_fractoin": 0.5}, HHI, "'split_fractoin'"),
+        ({"dataset_entry": {"sed": 3}}, HHI, "field dataset: unknown keys ['sed']"),
+        ({"synth": {"rat": 20.0}}, ["synth"], "field synth: unknown keys ['rat']"),
+        ({"variants": "v1"}, ["eval"], "field variants"),
+        ({"contact_states": {"gret": [2]}}, ["eval"], "contact_states: unknown keys ['gret']"),
+        ({"contact_states": {"greet": [2]}, "reach_states": {"gret": [0]}}, ["eval"],
+         "reach_states: unknown keys ['gret']"),
     ],
     ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
          "epochs-float", "n-states-over-windows", "train-key", "hidden-int", "hidden-non-positive",
@@ -207,9 +257,12 @@ HHI = ["train-hhi"]
          "cond-weight-null", "val-fraction-over-one", "split-seed-string", "dataset-seed-string",
          "eval-seeds-int", "eval-seeds-string", "eval-seeds-empty", "eval-threads-string",
          "eval-empty-contact-states", "eval-overlapping-states", "eval-state-out-of-range",
+         "eval-state-float",
          "synth-dataset-directory", "synth-int", "synth-interactions-int",
          "synth-interaction-int", "synth-rate-string", "synth-n-traj-string",
-         "synth-noise-string"],
+         "synth-noise-string", "eval-contact-states-list", "eval-reach-states-list",
+         "eval-out-int", "train-int", "top-level-key", "dataset-key", "synth-spec-key",
+         "eval-variants-string", "eval-contact-states-label", "eval-reach-states-label"],
 )
 def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, command, field):
     cfg = tmp_path / "c.json"

@@ -8,9 +8,9 @@ from comotion import evaluate
 from comotion.errors import ConfigError, NumericalError
 from comotion.evaluate import (
     config_fingerprint,
-    load_experiment_dataset,
     mann_whitney_u,
     mse,
+    parse_experiment,
     run_experiment,
 )
 from comotion.infer import conditional_predictions
@@ -179,7 +179,7 @@ def test_run_experiment_predicts_each_test_trajectory_once(tmp_path, monkeypatch
 
     monkeypatch.setattr(evaluate, "conditional_predictions", counting)
     report = run_experiment(config, tmp_path)
-    n_test = load_experiment_dataset(config).assignment.count("test")
+    n_test = parse_experiment(config).dataset.assignment.count("test")
     assert n_test >= 1
     assert len(calls) == n_test * 2 * 2 == len(report.rows)
     assert len(list((tmp_path / "dumps").rglob("*_pred.npy"))) == len(calls)
@@ -205,3 +205,26 @@ def test_numerical_error_in_train_hhi_carries_the_stage_prefix(tmp_path, monkeyp
     assert str(err.value) == (
         f"[stage train-hhi, config {fingerprint}] training loss diverged at epoch 0"
     )
+
+
+def test_two_workers_write_the_serial_mse_columns(tmp_path):
+    """Each worker gets the parsed experiment; only the fingerprint column,
+    which hashes ``threads`` with the rest of the config, differs."""
+    config = {
+        "dataset": {
+            "synth": {"interactions": [{"name": "greet", "n_traj": 5, "length": 30, "noise": 0.05}]},
+            "seed": 0,
+        },
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+        "variants": ["v1", "v3.2"],
+        "seeds": [0, 1],
+    }
+    columns = {}
+    for threads in (1, 2):
+        run_experiment({**config, "threads": threads}, tmp_path / f"threads{threads}")
+        lines = (tmp_path / f"threads{threads}" / "report.csv").read_text().splitlines()
+        columns[threads] = [line.rsplit(",", 1) for line in lines[1:]]
+    assert len(columns[1]) == len(columns[2]) > 0
+    for (serial, fp_serial), (pooled, fp_pooled) in zip(columns[1], columns[2]):
+        assert serial == pooled
+        assert fp_serial != fp_pooled

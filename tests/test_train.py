@@ -197,6 +197,11 @@ def test_fit_transition_states_smoke(small_dataset, small_config, hhi_bundle):
         np.linalg.cholesky(tsm.gate.cov)  # SPD contract
 
 
+def test_fit_transition_states_without_state_sets_returns_the_bundle(small_dataset, hhi_bundle):
+    assert all(tsm is None for _, tsm in hhi_bundle.hmms.values())
+    assert fit_transition_states(hhi_bundle, small_dataset, {}) is hhi_bundle
+
+
 def test_fit_transition_states_no_points_disables_gate(caplog):
     # a bundle whose h-only and joint segmentations agree exactly:
     # diagonal-block joint covariances make both forwards identical
@@ -364,6 +369,22 @@ def test_checkpoint_with_config_seeds_loads(tmp_path, hhi_bundle):
     loaded = load_bundle(path)
     assert loaded.config == hhi_bundle.config
     assert "seeds" not in loaded.config.to_dict()
+
+
+def test_checkpoint_with_config_hmm_refit_every_loads(tmp_path, hhi_bundle):
+    """Checkpoints written while the config still had ``hmm_refit_every``
+    (every epoch refits, as it always did) load alike."""
+    import json
+
+    path = tmp_path / "model.json"
+    save_bundle(hhi_bundle, path)
+    doc = json.loads(path.read_text())
+    assert "hmm_refit_every" not in doc["config"]
+    doc["config"]["hmm_refit_every"] = 1
+    path.write_text(json.dumps(doc))
+    loaded = load_bundle(path)
+    assert loaded.config == hhi_bundle.config
+    assert "hmm_refit_every" not in loaded.config.to_dict()
 
 
 def test_write_trace_format(tmp_path, hhi_bundle):
