@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, load_dataset, pair_features, save_dataset
+from comotion.data import Dataset, load_dataset, pair_features, save_dataset, write_csv
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.evaluate import Experiment, load_config, parse_experiment, run_experiment
 from comotion.hmm import forward, forward_unobserved
@@ -112,24 +112,10 @@ def cmd_rollout(args) -> int:
     weights = np.array([0.1, 0.2, 0.3, 0.4]) if args.smooth else None
     result = rollout(bundle, pair.label, pair.h_frames, chain, None, weights)
     out = Path(args.out or "rollout.csv")
-    n_r = result.q.shape[1]
-    n_states = result.alpha.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"q_{i + 1}" for i in range(n_r))
-        + ",stiffness_low,"
-        + ",".join(f"alpha_{i + 1}" for i in range(n_states))
-    )
-    lines = [header]
-    for t in range(result.q.shape[0]):
-        lines.append(
-            f"{t},"
-            + ",".join(repr(float(v)) for v in result.q[t])
-            + f",{int(result.stiffness_low[t])},"
-            + ",".join(repr(float(v)) for v in result.alpha[t])
-        )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    header = ["t", *(f"q_{i + 1}" for i in range(result.q.shape[1])), "stiffness_low",
+              *(f"alpha_{i + 1}" for i in range(result.alpha.shape[1]))]
+    rows = zip(result.q, result.stiffness_low, result.alpha)
+    write_csv(out, header, ([t, *q, int(low), *a] for t, (q, low, a) in enumerate(rows)))
     if args.latents:
         Path(args.latents).write_text(
             json.dumps({"latent_mean": result.latent_mean.tolist()})

@@ -1,13 +1,22 @@
-"""Dataset ingestion, windowed featurization, synthetic data.
+"""Dataset ingestion, windowed featurization, synthetic data, and the
+package's one JSON reader and one CSV writer.
 
-On-disk format: a directory with ``manifest.json`` holding the frame rate
-and the trajectory list (no window width: that is ``TrainConfig.window``),
-and one CSV per agent per trajectory (header row, fixed column order). The
-observed agent streams 3 arm joints (shoulder, elbow, wrist) as 3D
-positions with the shoulder as origin; the generated agent streams joint
-angles. Features are sliding windows of 5 frames: positions plus
-frame-to-frame deltas for the observed agent (5 x 3 x 6 = 90 wide),
-stacked joint angles for the generated agent (5 x n_joints).
+``read_json`` reads a config, a checkpoint or a manifest; a file that is
+missing, is not UTF-8 JSON or cannot be read is the caller's error naming
+the file. ``write_csv`` writes every CSV (dataset streams, loss traces,
+reports, alpha dumps, rollouts): floats with ``repr``, which reads back
+bit-exact, other cells with ``str``, a cell holding a comma quoted, and
+each line ending in ``\\n``.
+
+On-disk dataset format: a directory with ``manifest.json`` holding the
+trajectory list (no window width, that is ``TrainConfig.window``, and no
+frame rate, which nothing reads), and one CSV per agent per trajectory
+(header row, fixed column order). The observed agent streams 3 arm joints
+(shoulder, elbow, wrist) as 3D positions with the shoulder as origin; the
+generated agent streams joint angles. Features are sliding windows of 5
+frames: positions plus frame-to-frame deltas for the observed agent
+(5 x 3 x 6 = 90 wide), stacked joint angles for the generated agent
+(5 x n_joints).
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ class TrajectoryPair:
     label: str
     h_frames: np.ndarray  # (T, 9) shoulder/elbow/wrist xyz, shoulder origin
     r_frames: np.ndarray  # (T, n_r) joint angles (or task-space values)
-    rate: float = 20.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -56,7 +64,6 @@ class TrajectoryPair:
 @dataclass
 class Dataset:
     pairs: list[TrajectoryPair]
-    rate: float = 20.0
     assignment: list[str] | None = None  # "train"/"test" per pair
 
     @property
@@ -128,16 +135,15 @@ class SynthInteraction:
 @dataclass(frozen=True)
 class SynthSpec:
     interactions: tuple[SynthInteraction, ...] = (SynthInteraction(),)
-    rate: float = 20.0
 
     @classmethod
     def from_dict(cls, d) -> "SynthSpec":
         """Spec of a ``synth`` config entry; an unknown interaction key or a
         malformed value is a ConfigError naming the field, such as
-        ``synth.rate`` or ``synth.interactions.0.n_traj``."""
+        ``synth.interactions`` or ``synth.interactions.0.n_traj``."""
         if not isinstance(d, dict):
             raise ConfigError(f"config field synth must be an object, got {d!r}")
-        config_keys(d, ("interactions", "rate"), "synth")
+        config_keys(d, ("interactions",), "synth")
         entries = config_field(d, "interactions", [{}], "synth.interactions",
                                "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
         inter = []
@@ -149,9 +155,7 @@ class SynthSpec:
             for key, (what, ok) in _INTERACTION_RULES.items():
                 config_field(entry, key, getattr(SynthInteraction, key), f"{name}.{key}", what, ok)
             inter.append(SynthInteraction(**entry))
-        rate = config_field(d, "rate", 20.0, "synth.rate", "a positive number",
-                            lambda v: isinstance(v, _NUM) and v > 0)
-        return cls(tuple(inter), float(rate))
+        return cls(tuple(inter))
 
 
 _INT, _NUM = numbers.Integral, numbers.Real
@@ -202,13 +206,11 @@ def synth_generate(spec: SynthSpec, rng: np.random.Generator) -> Dataset:
     pairs = []
     for inter in spec.interactions:
         for _ in range(inter.n_traj):
-            pairs.append(_one_trajectory(inter, spec.rate, rng))
-    return Dataset(pairs, rate=spec.rate)
+            pairs.append(_one_trajectory(inter, rng))
+    return Dataset(pairs)
 
 
-def _one_trajectory(
-    inter: SynthInteraction, rate: float, rng: np.random.Generator
-) -> TrajectoryPair:
+def _one_trajectory(inter: SynthInteraction, rng: np.random.Generator) -> TrajectoryPair:
     T = inter.length
     t = np.arange(T)
     t1 = int(rng.uniform(0.32, 0.42) * T)
@@ -239,12 +241,39 @@ def _one_trajectory(
         "contact_end": t2,
         "amp": amp,
     }
-    return TrajectoryPair(inter.name, h, r, rate, meta)
+    return TrajectoryPair(inter.name, h, r, meta)
 
 
 # ---------------------------------------------------------------------------
 # persistence and splitting
 # ---------------------------------------------------------------------------
+
+
+def read_json(path: str | Path, what: str, error: type[Exception]):
+    """The parsed JSON document at ``path``; a file that is missing, is not
+    JSON or not UTF-8 text, or cannot be read raises ``error`` naming
+    ``what`` and the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise error(f"missing {what}: {path}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise error(f"malformed {what} {path}: {exc}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise error(f"unreadable {what} {path}: {exc.strerror}") from None
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, creating its directory;
+    floats are written with ``repr`` and other cells with ``str``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) if isinstance(x, float) else str(x) for x in row])
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -254,35 +283,27 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     for i, pair in enumerate(dataset.pairs):
         h_name = f"traj{i:04d}_h.csv"
         r_name = f"traj{i:04d}_r.csv"
-        _write_csv(path / h_name, H_COLUMNS, pair.h_frames)
-        r_cols = [f"q{j + 1}" for j in range(pair.r_frames.shape[1])]
-        _write_csv(path / r_name, r_cols, pair.r_frames)
+        write_csv(path / h_name, H_COLUMNS, pair.h_frames)
+        write_csv(path / r_name, [f"q{j + 1}" for j in range(pair.r_frames.shape[1])], pair.r_frames)
         meta = {
             k: v for k, v in pair.meta.items() if not isinstance(v, np.ndarray)
         }
         entries.append({"label": pair.label, "h": h_name, "r": r_name, "meta": meta})
-    manifest = {"rate": dataset.rate, "trajectories": entries}
     with open(path / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-
-
-def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+        json.dump({"trajectories": entries}, f, indent=1, sort_keys=True)
 
 
 def _read_csv(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise DataError(f"missing data file: {path}")
     try:
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader)
             rows = [[float(x) for x in row] for row in reader]
-    except (ValueError, StopIteration) as exc:
+    except FileNotFoundError:
+        raise DataError(f"missing data file: {path}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise DataError(f"unreadable data file {path}: {exc.strerror}") from None
+    except (ValueError, StopIteration) as exc:  # not numbers, not text, or empty
         raise DataError(f"malformed CSV {path}: {exc}") from None
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(header):
@@ -291,22 +312,16 @@ def _read_csv(path: Path) -> np.ndarray:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """Read a ``save_dataset`` directory; a manifest key other than
+    ``trajectories`` (such as the ``rate`` or ``w`` older manifests carry)
+    is ignored."""
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"missing manifest: {manifest_path}")
-    try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed manifest {manifest_path}: {exc}") from None
+    manifest = read_json(manifest_path, "manifest", DataError)
     bad = f"malformed manifest {manifest_path}: field"
     entries = manifest.get("trajectories") if isinstance(manifest, dict) else None
     if not (isinstance(entries, list) and entries):
         raise DataError(f"{bad} trajectories must be a non-empty list, got {entries!r}")
-    rate = manifest.get("rate", 20.0)
-    if not (isinstance(rate, _NUM) and rate > 0):
-        raise DataError(f"{bad} rate must be a positive number, got {rate!r}")
     pairs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -322,11 +337,10 @@ def load_dataset(path: str | Path) -> Dataset:
                 entry["label"],
                 _read_csv(path / entry["h"]),
                 _read_csv(path / entry["r"]),
-                float(rate),
                 dict(meta),
             )
         )
-    return Dataset(pairs, rate=float(rate))
+    return Dataset(pairs)
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> Dataset:

@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,10 @@ from comotion.data import (
     config_keys,
     load_dataset,
     pair_features,
+    read_json,
     split,
     synth_generate,
+    write_csv,
 )
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.hmm import TransitionStateModel
@@ -109,6 +111,9 @@ def mann_whitney_u(a, b) -> float:
 
 
 def config_fingerprint(config: dict, seed: int) -> str:
+    """Hash of the config and the row's seed; ``threads``, ``out`` and
+    ``seeds`` change no number in the report and are left out."""
+    config = {k: v for k, v in config.items() if k not in ("threads", "out", "seeds")}
     blob = json.dumps({"config": config, "seed": seed}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -165,18 +170,9 @@ def _stage(name: str, fingerprint: str):
 def load_config(path: str | Path) -> dict:
     """Read a JSON config file; one that is missing, is not JSON or is not
     an object is a ConfigError naming the file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"missing config file: {path}")
-    try:
-        with open(path) as f:
-            config = json.load(f)
-    except ValueError as exc:  # not JSON, or not text
-        raise ConfigError(f"malformed config {path}: {exc}") from None
-    except OSError as exc:  # a directory, or not readable
-        raise ConfigError(f"unreadable config {path}: {exc.strerror}") from None
+    config = read_json(path, "config file", ConfigError)
     if not isinstance(config, dict):
-        raise ConfigError(f"malformed config {path}: not a JSON object")
+        raise ConfigError(f"malformed config file {path}: not a JSON object")
     return config
 
 
@@ -269,10 +265,9 @@ def evaluate_bundle(
             )
         )
         if dump_dir is not None:
-            dump_dir.mkdir(parents=True, exist_ok=True)
-            lines = ["t," + ",".join(f"alpha_{j + 1}" for j in range(alpha.shape[1]))]
-            lines += [f"{t}," + ",".join(repr(float(v)) for v in a) for t, a in enumerate(alpha)]
-            (dump_dir / f"traj{i:03d}_alpha.csv").write_text("\n".join(lines) + "\n")
+            write_csv(dump_dir / f"traj{i:03d}_alpha.csv",
+                      ["t", *(f"alpha_{j + 1}" for j in range(alpha.shape[1]))],
+                      ([t, *a] for t, a in enumerate(alpha)))
             np.save(dump_dir / f"traj{i:03d}_pred.npy", pred)
     return out
 
@@ -347,15 +342,8 @@ def _assemble_report(rows: list[EvalRow], out: Path) -> EvalReport:
 
 
 def _write_report_csv(path: Path, report: EvalReport) -> None:
-    lines = ["variant,seed,interaction,trajectory,mse_window,mse_last,fingerprint"]
-    for r in sorted(
-        report.rows, key=lambda r: (r.variant, r.seed, r.interaction, r.trajectory)
-    ):
-        lines.append(
-            f"{r.variant},{r.seed},{r.interaction},{r.trajectory},"
-            f"{repr(r.mse_window)},{repr(r.mse_last)},{r.fingerprint}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    rows = sorted(report.rows, key=lambda r: (r.variant, r.seed, r.interaction, r.trajectory))
+    write_csv(path, [f.name for f in fields(EvalRow)], map(astuple, rows))
 
 
 def _write_report_md(path: Path, report: EvalReport, results: list[dict]) -> None:

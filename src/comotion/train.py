@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, config_keys, pair_features
+from comotion.data import Dataset, config_keys, pair_features, read_json, write_csv
 from comotion.errors import ConfigError, NumericalError
 from comotion.gauss import Gaussian
 from comotion.hmm import (
@@ -147,13 +147,14 @@ def _featurize(pairs, w: int) -> list[_TrajFeatures]:
 def _fit_val_split(
     feats: list[_TrajFeatures], val_fraction: float, seed: int
 ) -> tuple[list[_TrajFeatures], list[_TrajFeatures]]:
-    """Carve a per-label validation slice out of the training trajectories."""
+    """Carve a per-label validation slice out of the training trajectories;
+    with ``val_fraction`` 0 the slice is empty."""
     rng = np.random.default_rng([seed, 7919])
     labels = sorted({f.label for f in feats})
     val_idx: set[int] = set()
     for label in labels:
         idx = [i for i, f in enumerate(feats) if f.label == label]
-        if len(idx) < 2:
+        if len(idx) < 2 or val_fraction == 0:
             continue
         n_val = max(1, int(round(val_fraction * len(idx))))
         n_val = min(n_val, len(idx) - 1)
@@ -472,16 +473,7 @@ def _non_finite_path(node) -> list | None:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a ``save_bundle`` checkpoint. A file that is not JSON, lacks a key,
     holds an inf or nan or has disagreeing shapes is a ConfigError naming the field."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"missing model file: {path}")
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except ValueError as exc:  # not JSON, or not text
-        raise ConfigError(f"malformed model file {path}: {exc}") from None
-    except OSError as exc:  # a directory, or not readable
-        raise ConfigError(f"unreadable model file {path}: {exc.strerror}") from None
+    doc = read_json(path, "model file", ConfigError)
     bad = _non_finite_path(doc)
     if bad is not None:
         bad = ".".join(map(str, bad))
@@ -512,9 +504,4 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
 
 def write_trace(path: str | Path, trace: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(",".join(TRACE_COLUMNS) + "\n")
-        for row in trace:
-            f.write(",".join(repr(row[c]) if c != "epoch" else str(row[c]) for c in TRACE_COLUMNS) + "\n")
+    write_csv(path, TRACE_COLUMNS, ([row[c] for c in TRACE_COLUMNS] for row in trace))

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,26 @@ def test_malformed_manifest_is_exit_3_naming_the_key(tmp_path, tiny_config, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, damage",
+    [("manifest.json", "not-utf8"), ("manifest.json", "directory"), ("traj0001_r.csv", "directory")],
+    ids=["manifest-not-utf8", "manifest-directory", "csv-directory"],
+)
+def test_unreadable_dataset_file_is_exit_3_naming_it(small_model, tmp_path, capsys, name, damage):
+    ds = shutil.copytree(small_model[0], tmp_path / "ds")
+    if damage == "not-utf8":
+        (ds / name).write_bytes(b'{"trajectories": "\xff"}')
+    else:
+        (ds / name).unlink()
+        (ds / name).mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_small_config()))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "hhi"), "train-hhi", "--data", str(ds)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_config_error_without_dataset(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text("{}")
@@ -236,7 +257,6 @@ HHI = ["train-hhi"]
         ({"dataset": {"synth": 5}}, ["synth"], "field synth must"),
         ({"synth": {"interactions": 5}}, ["synth"], "synth.interactions must"),
         ({"synth": {"interactions": [5]}}, ["synth"], "synth.interactions.0 must"),
-        ({"synth": {"rate": "x"}}, ["synth"], "synth.rate"),
         ({"interaction": {"n_traj": "x"}}, ["synth"], "synth.interactions.0.n_traj"),
         ({"interaction": {"noise": "x"}}, ["synth"], "synth.interactions.0.noise"),
         ({"contact_states": [1, 2]}, ["eval"], "field contact_states"),
@@ -246,6 +266,7 @@ HHI = ["train-hhi"]
         ({"split_fractoin": 0.5}, HHI, "'split_fractoin'"),
         ({"dataset_entry": {"sed": 3}}, HHI, "field dataset: unknown keys ['sed']"),
         ({"synth": {"rat": 20.0}}, ["synth"], "field synth: unknown keys ['rat']"),
+        ({"synth": {"rate": 20.0}}, ["synth"], "field synth: unknown keys ['rate']"),
         ({"variants": "v1"}, ["eval"], "field variants"),
         ({"contact_states": {"gret": [2]}}, ["eval"], "contact_states: unknown keys ['gret']"),
         ({"contact_states": {"greet": [2]}, "reach_states": {"gret": [0]}}, ["eval"],
@@ -259,9 +280,9 @@ HHI = ["train-hhi"]
          "eval-empty-contact-states", "eval-overlapping-states", "eval-state-out-of-range",
          "eval-state-float",
          "synth-dataset-directory", "synth-int", "synth-interactions-int",
-         "synth-interaction-int", "synth-rate-string", "synth-n-traj-string",
+         "synth-interaction-int", "synth-n-traj-string",
          "synth-noise-string", "eval-contact-states-list", "eval-reach-states-list",
-         "eval-out-int", "train-int", "top-level-key", "dataset-key", "synth-spec-key",
+         "eval-out-int", "train-int", "top-level-key", "dataset-key", "synth-spec-key", "synth-rate",
          "eval-variants-string", "eval-contact-states-label", "eval-reach-states-label"],
 )
 def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, command, field):

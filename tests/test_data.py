@@ -143,6 +143,21 @@ def test_manifest_with_w_loads(tmp_path):
         np.testing.assert_array_equal(a.r_frames, b.r_frames)
 
 
+def test_manifest_with_rate_loads(tmp_path):
+    """Manifests written while datasets carried a frame rate still load;
+    nothing reads the rate, so the manifest no longer holds one."""
+    ds = synth_generate(SynthSpec((SynthInteraction("a", 2, 20, 0.05),)), np.random.default_rng(18))
+    save_dataset(ds, tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "rate" not in manifest
+    manifest_path.write_text(json.dumps({**manifest, "rate": -1}))
+    loaded = load_dataset(tmp_path / "ds")
+    for a, b in zip(ds.pairs, loaded.pairs, strict=True):
+        np.testing.assert_array_equal(a.h_frames, b.h_frames)
+        np.testing.assert_array_equal(a.r_frames, b.r_frames)
+
+
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(DataError, match="manifest"):
         load_dataset(tmp_path / "nope")
@@ -176,11 +191,9 @@ _ENTRY = {"label": "a", "h": "h.csv", "r": "r.csv"}
         ({"trajectories": [{"label": "a", "h": "h.csv"}]}, "trajectories.0.r"),
         ({"trajectories": [{**_ENTRY, "r": 3}]}, "trajectories.0.r"),
         ({"trajectories": [{**_ENTRY, "meta": [1]}]}, "trajectories.0.meta"),
-        ({"rate": None, "trajectories": [_ENTRY]}, "rate"),
-        ({"rate": -20.0, "trajectories": [_ENTRY]}, "rate"),
     ],
     ids=["no-trajectories", "trajectories-object", "trajectories-empty", "manifest-list", "entry-string",
-         "no-label", "no-h", "no-r", "r-int", "meta-list", "rate-null", "rate-negative"],
+         "no-label", "no-h", "no-r", "r-int", "meta-list"],
 )
 def test_malformed_manifest_names_the_field(tmp_path, manifest, field):
     d = tmp_path / "ds"

@@ -1,10 +1,13 @@
+import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
 from comotion import evaluate
+from comotion.cli import main
 from comotion.errors import ConfigError, NumericalError
 from comotion.evaluate import (
     config_fingerprint,
@@ -208,8 +211,9 @@ def test_numerical_error_in_train_hhi_carries_the_stage_prefix(tmp_path, monkeyp
 
 
 def test_two_workers_write_the_serial_mse_columns(tmp_path):
-    """Each worker gets the parsed experiment; only the fingerprint column,
-    which hashes ``threads`` with the rest of the config, differs."""
+    """Each worker gets the parsed experiment; the MSE columns match the
+    serial ones, and so does the fingerprint column, which leaves
+    ``threads`` out of the hashed config."""
     config = {
         "dataset": {
             "synth": {"interactions": [{"name": "greet", "n_traj": 5, "length": 30, "noise": 0.05}]},
@@ -219,12 +223,41 @@ def test_two_workers_write_the_serial_mse_columns(tmp_path):
         "variants": ["v1", "v3.2"],
         "seeds": [0, 1],
     }
-    columns = {}
+    reports = []
     for threads in (1, 2):
         run_experiment({**config, "threads": threads}, tmp_path / f"threads{threads}")
-        lines = (tmp_path / f"threads{threads}" / "report.csv").read_text().splitlines()
-        columns[threads] = [line.rsplit(",", 1) for line in lines[1:]]
-    assert len(columns[1]) == len(columns[2]) > 0
-    for (serial, fp_serial), (pooled, fp_pooled) in zip(columns[1], columns[2]):
-        assert serial == pooled
-        assert fp_serial != fp_pooled
+        reports.append((tmp_path / f"threads{threads}" / "report.csv").read_text())
+    assert reports[0] == reports[1] and reports[0].count("\n") > 1
+
+
+def _one_label_config(name):
+    return {
+        "dataset": {
+            "synth": {"interactions": [{"name": name, "n_traj": 4, "length": 30, "noise": 0.05}]},
+            "seed": 0,
+        },
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+    }
+
+
+def test_eval_command_and_run_experiment_write_one_fingerprint(tmp_path):
+    """``comotion eval`` adds ``seeds`` to a config without them; the
+    fingerprint leaves ``seeds`` out, so both report the same rows."""
+    config = _one_label_config("greet")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "cli"), "eval"]) == 0
+    run_experiment(config, tmp_path / "api")
+    cli_rows = (tmp_path / "cli" / "report.csv").read_text().splitlines()
+    assert cli_rows == (tmp_path / "api" / "report.csv").read_text().splitlines()
+    assert len(cli_rows) > 1
+    assert all(row.endswith("," + config_fingerprint(config, 0)) for row in cli_rows[1:])
+
+
+def test_report_csv_quotes_a_label_with_a_comma(tmp_path):
+    label = "greet, then wave"
+    run_experiment(_one_label_config(label), tmp_path)
+    with open(tmp_path / "report.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert len(header) == 7 and rows
+    assert all(len(row) == 7 and row[2] == label for row in rows)

@@ -102,6 +102,14 @@ def test_hhi_feature_stats_come_from_the_fit_split(small_dataset, small_config, 
         np.testing.assert_array_equal(vae.x_std, x.std(axis=0))
 
 
+def test_zero_val_fraction_holds_out_nothing():
+    from comotion.train import _featurize, _fit_val_split
+
+    ds = synth_generate(SynthSpec((SynthInteraction("greet", 8, 30, 0.05),)), np.random.default_rng(0))
+    fit, val = _fit_val_split(_featurize(ds.pairs, 5), 0.0, 0)
+    assert (len(fit), len(val)) == (8, 0)
+
+
 def test_hhi_deterministic(small_dataset, small_config, hhi_bundle):
     again = train_hhi(small_dataset, small_config, seed=0)
     assert again.trace[-1]["total"] == hhi_bundle.trace[-1]["total"]
