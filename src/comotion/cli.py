@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, load_dataset, pair_features, save_dataset, write_csv
+from comotion.data import Dataset, load_dataset, open_output, pair_features, save_dataset, write_csv
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.evaluate import Experiment, load_config, parse_experiment, run_experiment
 from comotion.hmm import forward, forward_unobserved
@@ -117,9 +117,8 @@ def cmd_rollout(args) -> int:
     rows = zip(result.q, result.stiffness_low, result.alpha)
     write_csv(out, header, ([t, *q, int(low), *a] for t, (q, low, a) in enumerate(rows)))
     if args.latents:
-        Path(args.latents).write_text(
-            json.dumps({"latent_mean": result.latent_mean.tolist()})
-        )
+        with open_output(args.latents) as f:
+            f.write(json.dumps({"latent_mean": result.latent_mean.tolist()}))
     print(f"rollout of trajectory {args.index} ({pair.label}) -> {out}")
     return 0
 

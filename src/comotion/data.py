@@ -1,12 +1,13 @@
 """Dataset ingestion, windowed featurization, synthetic data, and the
-package's one JSON reader and one CSV writer.
+package's one JSON reader and one text-file writer.
 
 ``read_json`` reads a config, a checkpoint or a manifest; a file that is
 missing, is not UTF-8 JSON or cannot be read is the caller's error naming
-the file. ``write_csv`` writes every CSV (dataset streams, loss traces,
-reports, alpha dumps, rollouts): floats with ``repr``, which reads back
-bit-exact, other cells with ``str``, a cell holding a comma quoted, and
-each line ending in ``\\n``.
+the file. ``open_output`` opens every text output file, and one it cannot
+write is a ConfigError naming it. ``write_csv`` writes every CSV (dataset
+streams, loss traces, reports, alpha dumps, rollouts) through it: floats
+with ``repr``, which reads back bit-exact, other cells with ``str``, a
+cell holding a comma quoted, and each line ending in ``\\n``.
 
 On-disk dataset format: a directory with ``manifest.json`` holding the
 trajectory list (no window width, that is ``TrainConfig.window``, and no
@@ -21,6 +22,7 @@ frames: positions plus frame-to-frame deltas for the observed agent
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import numbers
@@ -158,13 +160,22 @@ class SynthSpec:
         return cls(tuple(inter))
 
 
-_INT, _NUM = numbers.Integral, numbers.Real
+def is_int(value) -> bool:
+    """An integer config value; JSON ``true`` and ``false`` are not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real config value; JSON ``true`` and ``false`` are not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 _INTERACTION_RULES = {  # SynthInteraction field: (what it must be, its test)
     "name": ("a string", lambda v: isinstance(v, str)),
-    "n_traj": ("a positive integer", lambda v: isinstance(v, _INT) and v > 0),
+    "n_traj": ("a positive integer", lambda v: is_int(v) and v > 0),
     # the phase profile divides by zero below 3 frames
-    "length": ("an integer of at least 3", lambda v: isinstance(v, _INT) and v >= 3),
-    "noise": ("a non-negative number", lambda v: isinstance(v, _NUM) and v >= 0),
+    "length": ("an integer of at least 3", lambda v: is_int(v) and v >= 3),
+    "noise": ("a non-negative number", lambda v: is_number(v) and v >= 0),
 }
 
 
@@ -264,12 +275,25 @@ def read_json(path: str | Path, what: str, error: type[Exception]):
         raise error(f"unreadable {what} {path}: {exc.strerror}") from None
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """Write ``header`` and ``rows`` to ``path``, creating its directory;
-    floats are written with ``repr`` and other cells with ``str``."""
+@contextlib.contextmanager
+def open_output(path: str | Path):
+    """``path`` opened to write text, its directory created; the write-side
+    twin of ``read_json``: an OSError while creating the directory (a file
+    of its name exists, say) or opening or writing the file (a directory of
+    its name exists) is a ConfigError naming the file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            yield f
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` through ``open_output``;
+    floats are written with ``repr`` and other cells with ``str``."""
+    with open_output(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -278,7 +302,6 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, pair in enumerate(dataset.pairs):
         h_name = f"traj{i:04d}_h.csv"
@@ -289,7 +312,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             k: v for k, v in pair.meta.items() if not isinstance(v, np.ndarray)
         }
         entries.append({"label": pair.label, "h": h_name, "r": r_name, "meta": meta})
-    with open(path / "manifest.json", "w") as f:
+    with open_output(path / "manifest.json") as f:
         json.dump({"trajectories": entries}, f, indent=1, sort_keys=True)
 
 

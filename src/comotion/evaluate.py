@@ -17,8 +17,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -30,7 +28,9 @@ from comotion.data import (
     SynthSpec,
     config_field,
     config_keys,
+    is_int,
     load_dataset,
+    open_output,
     pair_features,
     read_json,
     split,
@@ -62,52 +62,28 @@ def mse(pred: np.ndarray, gt: np.ndarray) -> float:
     return float((diff * diff).mean())
 
 
-def _u_min(pooled: np.ndarray, ranks: np.ndarray, a_idx) -> float:
-    n = len(a_idx)
-    m = len(pooled) - n
-    r_a = float(ranks[list(a_idx)].sum())
-    u1 = r_a - n * (n + 1) / 2.0
-    return min(u1, n * m - u1)
-
-
 def mann_whitney_u(a, b) -> float:
-    """Two-sided Mann-Whitney U p-value.
+    """Two-sided Mann-Whitney U p-value by ``scipy.stats.mannwhitneyu``.
 
-    Exact enumeration of group assignments when either sample has fewer
-    than 8 values, otherwise the normal approximation with midrank tie
-    correction and a continuity correction.
+    Exact when either sample has fewer than 8 values: a permutation test
+    over every split of the pooled values, in batches so that memory stays
+    small (3 values against 120). Otherwise the normal approximation with tie
+    and continuity corrections. Two-sided is twice the smaller tail; with
+    ties and unequal sizes that is not the share of splits whose
+    min(U1, U2) is as small, but every report compares equal sizes.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n, m = len(a), len(b)
-    if n < 3 or m < 3:
+    if len(a) < 3 or len(b) < 3:
         raise ValueError("need at least 3 values per sample")
     pooled = np.concatenate([a, b])
     if np.all(pooled == pooled[0]):
         return 1.0
     # imported here: scipy.stats adds ~40 MB of resident memory to every
     # process that imports this module, and only the report needs it
-    from scipy.stats import rankdata
+    from scipy.stats import PermutationMethod, mannwhitneyu
 
-    ranks = rankdata(pooled)  # midranks, 1-based
-    u_obs = _u_min(pooled, ranks, range(n))
-    if min(n, m) < 8:
-        total = 0
-        hits = 0
-        for comb in itertools.combinations(range(n + m), n):
-            total += 1
-            if _u_min(pooled, ranks, comb) <= u_obs + 1e-12:
-                hits += 1
-        return hits / total
-    mu = n * m / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float((counts**3 - counts).sum())
-    var = n * m / 12.0 * ((n + m + 1) - tie_term / ((n + m) * (n + m - 1)))
-    if var <= 0:
-        return 1.0
-    z = (u_obs - mu + 0.5) / math.sqrt(var)
-    p = 2.0 * 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return min(1.0, p)
+    small = min(len(a), len(b)) < 8
+    method = PermutationMethod(n_resamples=np.inf, batch=10_000) if small else "asymptotic"
+    return float(mannwhitneyu(a, b, alternative="two-sided", method=method).pvalue)
 
 
 def config_fingerprint(config: dict, seed: int) -> str:
@@ -176,19 +152,15 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral)
-
-
 _STATE_MAP = ("an object mapping labels to state lists", lambda v: isinstance(v, dict))
 _CONFIG_RULES = {  # field other than dataset: (default, what it must be, its test)
     "split_fraction": (0.8, "in (0, 1)", lambda v: isinstance(v, (int, float)) and 0.0 < v < 1.0),
-    "split_seed": (0, "an integer", _is_int),
+    "split_seed": (0, "an integer", is_int),
     "train": ({}, "an object", lambda v: isinstance(v, dict)),
     "variants": (["v1"], "a non-empty list of tags", lambda v: isinstance(v, list) and len(v) > 0),
     "seeds": ([0], "a non-empty list of integers",
-              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_int, v))),
-    "threads": (1, "a positive integer", lambda v: _is_int(v) and v > 0),
+              lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_int, v))),
+    "threads": (1, "a positive integer", lambda v: is_int(v) and v > 0),
     "out": ("experiment_out", "a path string", lambda v: isinstance(v, str)),
     "contact_states": ({}, *_STATE_MAP),
     "reach_states": ({}, *_STATE_MAP),
@@ -209,7 +181,7 @@ def parse_experiment(config: dict) -> Experiment:
                   for label, c in f["contact_states"].items()}
     for label, (c, r) in state_sets.items():
         try:
-            if not all(map(_is_int, [*c, *r])):
+            if not all(map(is_int, [*c, *r])):
                 raise ValueError(f"state indices must be integers, got {c!r} and {r!r}")
             TransitionStateModel(c, r)
         except (TypeError, ValueError) as exc:
@@ -233,7 +205,7 @@ def _parse_dataset(src) -> Dataset:
         raise ConfigError(f"unrecognized dataset entry: {src!r}")
     config_keys(src, ("synth", "seed"), "dataset")
     spec = SynthSpec.from_dict(src["synth"])
-    seed = config_field(src, "seed", 0, "dataset.seed", "an integer", _is_int)
+    seed = config_field(src, "seed", 0, "dataset.seed", "an integer", is_int)
     return synth_generate(spec, np.random.default_rng(seed))
 
 
@@ -301,7 +273,6 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     exp = parse_experiment(config if isinstance(config, dict) else load_config(config))
     if out_dir:
         exp = replace(exp, out=Path(out_dir))
-    exp.out.mkdir(parents=True, exist_ok=True)
     if exp.threads > 1 and len(exp.seeds) > 1:
         with ProcessPoolExecutor(max_workers=exp.threads) as pool:
             results = list(pool.map(_seed_job, itertools.repeat(exp), exp.seeds))
@@ -371,4 +342,5 @@ def _write_report_md(path: Path, report: EvalReport, results: list[dict]) -> Non
     for res in results:
         cells = [f"{res['val_mse'][tag]:.6f}" for tag in sorted(res["val_mse"])]
         lines.append(f"| {res['seed']} | " + " | ".join(cells) + " |")
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as f:
+        f.write("\n".join(lines) + "\n")

@@ -23,13 +23,22 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from comotion.data import Dataset, config_keys, pair_features, read_json, write_csv
+from comotion.data import (
+    Dataset,
+    config_field,
+    config_keys,
+    is_int,
+    is_number,
+    open_output,
+    pair_features,
+    read_json,
+    write_csv,
+)
 from comotion.errors import ConfigError, NumericalError
 from comotion.gauss import Gaussian
 from comotion.hmm import (
@@ -60,16 +69,15 @@ log = logging.getLogger(__name__)
 TRACE_COLUMNS = ("epoch", "recon_h", "recon_r", "kl", "cond", "total", "val_mse")
 
 
-_INT, _NUM = numbers.Integral, numbers.Real
 _FIELD_RULES = (  # (TrainConfig fields, what each must be, its test)
     (("epochs", "mc_samples", "n_states", "d_z", "window", "em_max_iters"),
-     "a positive integer", lambda v: isinstance(v, _INT) and v > 0),
-    (("beta", "lr"), "a positive number", lambda v: isinstance(v, _NUM) and v > 0),
+     "a positive integer", lambda v: is_int(v) and v > 0),
+    (("beta", "lr"), "a positive number", lambda v: is_number(v) and v > 0),
     (("em_tol", "weight_decay", "cond_weight"), "a non-negative number",
-     lambda v: isinstance(v, _NUM) and v >= 0),
-    (("val_fraction",), "a number in [0, 1)", lambda v: isinstance(v, _NUM) and 0 <= v < 1),
+     lambda v: is_number(v) and v >= 0),
+    (("val_fraction",), "a number in [0, 1)", lambda v: is_number(v) and 0 <= v < 1),
     (("hidden",), "a list of positive integers",
-     lambda v: isinstance(v, (list, tuple)) and all(isinstance(h, _INT) and h > 0 for h in v)),
+     lambda v: isinstance(v, (list, tuple)) and all(is_int(h) and h > 0 for h in v)),
 )
 
 
@@ -93,9 +101,7 @@ class TrainConfig:
     def __post_init__(self):
         for names, what, ok in _FIELD_RULES:
             for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+                config_field(vars(self), name, None, f"train.{name}", what, ok)
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -261,7 +267,7 @@ def train_hhi(dataset: Dataset, config: TrainConfig, seed: int = 0) -> ModelBund
     shortest = min(f.x_h.shape[0] for f in fit)
     if config.n_states > shortest:
         raise ConfigError(
-            f"config field n_states: {config.n_states} states, but the shortest "
+            f"config field train.n_states: {config.n_states} states, but the shortest "
             f"training sequence has {shortest} windows"
         )
     in_h = fit[0].x_h.shape[1]
@@ -437,8 +443,6 @@ def fit_transition_states(
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     interactions = {}
     for label, (hmm_c, tsm) in sorted(bundle.hmms.items()):
         entry = hmm_c.to_dict()
@@ -454,7 +458,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     }
     # json.dumps encodes in C; json.dump streams through the pure-Python encoder
     text = json.dumps(doc, sort_keys=True)
-    with open(path, "w") as f:
+    with open_output(path) as f:
         f.write(text)
 
 

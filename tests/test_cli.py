@@ -271,6 +271,12 @@ HHI = ["train-hhi"]
         ({"contact_states": {"gret": [2]}}, ["eval"], "contact_states: unknown keys ['gret']"),
         ({"contact_states": {"greet": [2]}, "reach_states": {"gret": [0]}}, ["eval"],
          "reach_states: unknown keys ['gret']"),
+        ({"train": {"epochs": True}}, HHI, "train.epochs"),
+        ({"train": {"beta": True}}, HHI, "train.beta"),
+        ({"train": {"hidden": [True]}}, HHI, "train.hidden"),
+        ({"seeds": [True]}, ["eval"], "field seeds"),
+        ({"split_seed": False}, HHI, "field split_seed"),
+        ({"interaction": {"n_traj": True}}, ["synth"], "synth.interactions.0.n_traj"),
     ],
     ids=["cli-variant", "train-variant", "split-fraction", "synth-key", "epochs-string",
          "epochs-float", "n-states-over-windows", "train-key", "hidden-int", "hidden-non-positive",
@@ -283,7 +289,9 @@ HHI = ["train-hhi"]
          "synth-interaction-int", "synth-n-traj-string",
          "synth-noise-string", "eval-contact-states-list", "eval-reach-states-list",
          "eval-out-int", "train-int", "top-level-key", "dataset-key", "synth-spec-key", "synth-rate",
-         "eval-variants-string", "eval-contact-states-label", "eval-reach-states-label"],
+         "eval-variants-string", "eval-contact-states-label", "eval-reach-states-label",
+         "epochs-bool", "beta-bool", "hidden-bool", "eval-seeds-bool", "split-seed-bool",
+         "synth-n-traj-bool"],
 )
 def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, command, field):
     cfg = tmp_path / "c.json"
@@ -320,6 +328,39 @@ def test_bad_cli_argument_is_exit_2(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "argv, named, code",
+    [
+        (["--out", "{tmp}/roll.csv", "rollout", "--latents", "{tmp}/new/lat.json"], "new/lat.json", 0),
+        (["--out", "{tmp}/roll.csv", "rollout", "--latents", "{tmp}/a_directory"], "a_directory", 2),
+        (["--out", "{tmp}/a_directory", "rollout"], "a_directory", 2),
+        (["--config", "{config}", "--out", "{tmp}/hhi", "train-hhi"], "hhi/model.json", 2),
+        (["--config", "{config}", "--out", "{tmp}/a_file", "synth"], "a_file", 2),
+        (["--config", "{config}", "--out", "{tmp}/a_file", "eval"], "a_file", 2),
+    ],
+    ids=["rollout-latents-new-directory", "rollout-latents-directory", "rollout-out-directory",
+         "train-hhi-model-directory", "synth-out-file", "eval-out-file"],
+)
+def test_output_path_is_created_or_exit_2_naming_it(small_model, tmp_path, capsys, argv, named,
+                                                   code):
+    ds, model = small_model
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_small_config()))
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "hhi" / "model.json").mkdir(parents=True)
+    argv = [a.format(tmp=tmp_path, config=config) for a in argv]
+    if "rollout" in argv:
+        argv += ["--model", str(model), "--data", str(ds)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert named in err
+    else:
+        assert "latent_mean" in json.loads((tmp_path / named).read_text())
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from scipy.stats import PermutationMethod, mannwhitneyu, rankdata
 
 from comotion import evaluate
 from comotion.cli import main
@@ -138,6 +138,76 @@ def test_mw_detects_strong_separation_large_n():
     a = rng.standard_normal(30)
     b = rng.standard_normal(30) + 3.0
     assert mann_whitney_u(a, b) < 1e-6
+
+
+def _u1_over_all_splits(a, b):
+    """U1 of ``a``'s midranks for every split of the pooled values into
+    groups of ``a``'s and ``b``'s sizes; the first split is the observed one."""
+    pooled = np.concatenate([a, b])
+    ranks = rankdata(pooled)  # midranks, 1-based
+    n = len(a)
+    return np.array([
+        ranks[list(comb)].sum() - n * (n + 1) / 2.0
+        for comb in itertools.combinations(range(len(pooled)), n)
+    ])
+
+
+def _midrank_enumeration_p(a, b):
+    """The share of splits whose min(U1, U2) is at most the observed one:
+    the p-value of the package's hand-written exact test before it called
+    scipy."""
+    u1 = _u1_over_all_splits(a, b)
+    u_min = np.minimum(u1, len(a) * len(b) - u1)
+    return float(np.mean(u_min <= u_min[0] + 1e-12))
+
+
+def _doubled_tail_p(a, b):
+    """Twice the smaller tail of U1's permutation distribution, capped at 1."""
+    u1 = _u1_over_all_splits(a, b)
+    tails = np.mean(u1 <= u1[0] + 1e-12), np.mean(u1 >= u1[0] - 1e-12)
+    return min(1.0, 2.0 * float(min(tails)))
+
+
+def test_mw_ties_equal_sizes_match_midrank_enumeration():
+    rng = np.random.default_rng(9)
+    for n in (3, 4, 5, 6, 7):
+        a = rng.integers(0, 4, n).astype(float)
+        b = rng.integers(1, 5, n).astype(float)
+        assert len(np.unique(np.concatenate([a, b]))) < 2 * n  # tied
+        assert mann_whitney_u(a, b) == pytest.approx(_midrank_enumeration_p(a, b), abs=1e-12)
+
+
+def test_mw_three_against_forty_is_the_full_permutation_p():
+    """C(43, 3) = 12,341 splits, more than one batch of the exact branch."""
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal(3) + 1.0
+    b = rng.standard_normal(40)
+    full = PermutationMethod(n_resamples=np.inf)
+    ref = mannwhitneyu(a, b, alternative="two-sided", method=full).pvalue
+    assert mann_whitney_u(a, b) == pytest.approx(ref, abs=1e-12)
+    assert mann_whitney_u(a, b) == pytest.approx(_midrank_enumeration_p(a, b), abs=1e-12)
+
+
+def test_mw_unequal_sizes_with_ties_double_the_smaller_tail():
+    """With ties and unequal sizes the null distribution of U is not
+    symmetric, and scipy's two-sided p is not the min(U1, U2) share."""
+    a = np.array([0.0, 0.0, 1.0])
+    b = np.array([0.0, 1.0, 1.0, 2.0, 2.0])
+    p = mann_whitney_u(a, b)
+    assert p == pytest.approx(_doubled_tail_p(a, b), abs=1e-12)
+    assert p == pytest.approx(20 / 56, abs=1e-12)
+    assert _midrank_enumeration_p(a, b) == pytest.approx(13 / 56, abs=1e-12)
+
+
+def test_mw_eight_per_side_takes_the_normal_branch():
+    """scipy's own "auto" choice would enumerate here."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(8)
+    b = rng.standard_normal(8) + 1.0
+    asymptotic = mannwhitneyu(a, b, alternative="two-sided", method="asymptotic").pvalue
+    auto = mannwhitneyu(a, b, alternative="two-sided").pvalue
+    assert mann_whitney_u(a, b) == asymptotic
+    assert abs(auto - asymptotic) > 1e-4
 
 
 # ---------------------------------------------------------------------------
