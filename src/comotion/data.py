@@ -1,13 +1,13 @@
 """Dataset ingestion, windowed featurization, synthetic data, and the
-package's one JSON reader and one text-file writer.
+package's one JSON reader and one output-file writer.
 
 ``read_json`` reads a config, a checkpoint or a manifest; a file that is
 missing, is not UTF-8 JSON or cannot be read is the caller's error naming
-the file. ``open_output`` opens every text output file, and one it cannot
-write is a ConfigError naming it. ``write_csv`` writes every CSV (dataset
-streams, loss traces, reports, alpha dumps, rollouts) through it: floats
-with ``repr``, which reads back bit-exact, other cells with ``str``, a
-cell holding a comma quoted, and each line ending in ``\\n``.
+the file. ``open_output`` opens every output file, text or binary, and one
+it cannot write is a ConfigError naming it. ``write_csv`` writes every CSV
+(dataset streams, loss traces, reports, alpha dumps, rollouts) through it:
+floats with ``repr``, which reads back bit-exact, other cells with ``str``,
+a cell holding a comma quoted, and each line ending in ``\\n``.
 
 On-disk dataset format: a directory with ``manifest.json`` holding the
 trajectory list (no window width, that is ``TrainConfig.window``, and no
@@ -276,18 +276,26 @@ def read_json(path: str | Path, what: str, error: type[Exception]):
 
 
 @contextlib.contextmanager
-def open_output(path: str | Path):
-    """``path`` opened to write text, its directory created; the write-side
-    twin of ``read_json``: an OSError while creating the directory (a file
-    of its name exists, say) or opening or writing the file (a directory of
-    its name exists) is a ConfigError naming the file."""
-    path = Path(path)
+def output_errors(path: str | Path):
+    """An OSError inside, from creating or writing ``path``, is a
+    ConfigError naming it."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
-            yield f
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def open_output(path: str | Path, binary: bool = False):
+    """``path`` opened to write text (bytes when ``binary``), its directory
+    created; the write-side twin of ``read_json``: an OSError while creating
+    the directory (a file of its name exists, say) or opening or writing the
+    file (a directory of its name exists) is a ConfigError naming the file."""
+    path = Path(path)
+    with output_errors(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") if binary else open(path, "w", newline="") as f:
+            yield f
 
 
 def write_csv(path: str | Path, header, rows) -> None:

@@ -31,6 +31,7 @@ from comotion.data import (
     is_int,
     load_dataset,
     open_output,
+    output_errors,
     pair_features,
     read_json,
     split,
@@ -240,7 +241,8 @@ def evaluate_bundle(
             write_csv(dump_dir / f"traj{i:03d}_alpha.csv",
                       ["t", *(f"alpha_{j + 1}" for j in range(alpha.shape[1]))],
                       ([t, *a] for t, a in enumerate(alpha)))
-            np.save(dump_dir / f"traj{i:03d}_pred.npy", pred)
+            with open_output(dump_dir / f"traj{i:03d}_pred.npy", binary=True) as f:
+                np.save(f, pred)
     return out
 
 
@@ -273,6 +275,8 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     exp = parse_experiment(config if isinstance(config, dict) else load_config(config))
     if out_dir:
         exp = replace(exp, out=Path(out_dir))
+    with output_errors(exp.out):  # an unusable out fails before any training
+        exp.out.mkdir(parents=True, exist_ok=True)
     if exp.threads > 1 and len(exp.seeds) > 1:
         with ProcessPoolExecutor(max_workers=exp.threads) as pool:
             results = list(pool.map(_seed_job, itertools.repeat(exp), exp.seeds))

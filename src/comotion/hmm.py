@@ -18,11 +18,12 @@ Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
 log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
-padded to the longest, as ``occupancy`` runs its forward pass. The kernels
-pick their schedule from what they are given: a left-to-right model, which
-``init_segments`` builds and ``em_fit`` keeps, over more steps than states
-is swept one state at a time over all steps; the online step, dense models
-and a step no state explains loop over time. Emission
+padded to the longest; its last forward pass, of the model it returns,
+also gives the state occupancy that decides whether the fit collapsed.
+The kernels pick their schedule from what they are given: a left-to-right
+model, which ``init_segments`` builds and ``em_fit`` keeps, over more
+steps than states is swept one state at a time over all steps; the online
+step, dense models and a step no state explains loop over time. Emission
 densities factor all state covariances with one stacked Cholesky per call;
 the factors are not cached on the model, which ``em_fit`` updates in place.
 Mixture conditioning is batched, with a single step as a batch of one.
@@ -241,38 +242,6 @@ def init_segments(sequences: list[np.ndarray], n_states: int, d_z: int | None = 
     return Hmm(pi, trans, means, covs, d_z)
 
 
-def _pad(sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of all sequences stacked, (sum of lengths, D), and the (S, T)
-    mask of real steps of the sequences padded to the longest, T."""
-    stacked = np.concatenate(sequences, axis=0)
-    lengths = np.array([s.shape[0] for s in sequences])
-    return stacked, np.arange(lengths.max()) < lengths[:, None]
-
-
-def _padded_log_liks(hmm: Hmm, stacked: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(S, T, N) log emission likelihoods of the padded sequences that
-    ``_pad`` returned; padding steps have zero log-likelihood."""
-    log_lik = np.zeros(mask.shape + (hmm.n_states,))
-    log_lik[mask] = state_log_liks(hmm, stacked)
-    return log_lik
-
-
-def occupancy(hmm: Hmm, sequences: list[np.ndarray]) -> np.ndarray:
-    """(N,) state occupancy: each sequence's forward variable averaged over
-    its steps, then averaged over the sequences.
-
-    All sequences run through one padded forward pass; a collapsed step
-    raises NumericalError, as in ``forward``.
-    """
-    stacked, mask = _pad([np.ascontiguousarray(s, dtype=np.float64) for s in sequences])
-    log_alpha, log_norm = _kernels.forward_log(
-        _padded_log_liks(hmm, stacked, mask), _safe_log(hmm.pi), _safe_log(hmm.trans)
-    )
-    _raise_on_collapse(log_norm, mask)
-    per_seq = (np.exp(log_alpha) * mask[..., None]).sum(axis=1) / mask.sum(axis=1)[:, None]
-    return per_seq.mean(axis=0)
-
-
 def em_fit(
     init: Hmm,
     sequences: list[np.ndarray],
@@ -284,21 +253,32 @@ def em_fit(
     Returns the fitted model and the per-iteration log-likelihood trace
     (evaluated under the parameters entering each iteration). Convergence is
     tested right after each forward pass, so the iteration that converges
-    runs no backward pass and no M-step.
+    runs no backward pass and no M-step; when ``max_iters`` runs out, one
+    more pass, with no trace entry, scores the last M-step's model. From
+    that last pass, of the model returned, a state's occupancy is its forward
+    probability averaged over each sequence's real steps, then over the
+    sequences; when one falls below 1 / (10 N) the fit has collapsed: a
+    warning is logged and ``init_segments`` of the sequences is returned.
     """
     sequences = [np.ascontiguousarray(s, dtype=np.float64) for s in sequences]
     if not sequences or any(s.shape[0] < 2 for s in sequences):
         raise ValueError("need at least one sequence of length >= 2")
     hmm = Hmm(init.pi.copy(), init.trans.copy(), init.means.copy(), init.covs.copy(), init.d_z)
-    N, D = hmm.n_states, hmm.dim
-    stacked, mask = _pad(sequences)
+    N = hmm.n_states
+    # sequences padded to the longest; padding steps keep zero log-likelihood
+    stacked = np.concatenate(sequences, axis=0)
+    lengths = np.array([s.shape[0] for s in sequences])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    log_lik = np.zeros(mask.shape + (N,))
     trace = []
     prev_ll = -np.inf
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         log_trans = _safe_log(hmm.trans)
-        log_lik = _padded_log_liks(hmm, stacked, mask)
+        log_lik[mask] = state_log_liks(hmm, stacked)
         log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), log_trans)
         _raise_on_collapse(log_norm, mask)
+        if it == max_iters:
+            break
         total_ll = float(log_norm[mask].sum())
         trace.append(total_ll)
         if total_ll - prev_ll < tol * max(1.0, abs(prev_ll)) and it > 0:
@@ -314,9 +294,7 @@ def em_fit(
         gammas = gamma[mask]
         mass = gammas.sum(axis=0)
         mean_acc = gammas.T @ stacked
-        second_acc = np.empty((N, D, D))
-        for i in range(N):
-            second_acc[i] = (stacked * gammas[:, i : i + 1]).T @ stacked
+        second_acc = (gammas.T[:, :, None] * stacked).swapaxes(1, 2) @ stacked  # (N, D, D)
 
         hmm.pi = pi_acc / pi_acc.sum()
         row_sums = xi_acc.sum(axis=1, keepdims=True)
@@ -327,14 +305,19 @@ def em_fit(
         starving = mass < 1e-8
         safe_mass = np.where(starving, 1.0, mass)
         means = mean_acc / safe_mass[:, None]
-        for i in range(N):
-            if starving[i]:
-                continue
-            cov = second_acc[i] / mass[i] - np.outer(means[i], means[i])
+        for i in np.flatnonzero(~starving):
             hmm.means[i] = means[i]
-            hmm.covs[i] = regularize_spd(cov)
+            hmm.covs[i] = regularize_spd(second_acc[i] / mass[i] - np.outer(means[i], means[i]))
         if np.any(starving):
             _reseed_starving(hmm, sequences, np.flatnonzero(starving))
+    occ = ((np.exp(log_alpha) * mask[..., None]).sum(axis=1) / lengths[:, None]).mean(axis=0)
+    if occ.min() < 1.0 / (10.0 * N):
+        log.warning(
+            "sequence-model component occupancy collapsed (min %.4f); "
+            "falling back to segment initialization",
+            occ.min(),
+        )
+        hmm = init_segments(sequences, N, hmm.d_z)
     return hmm, np.asarray(trace)
 
 

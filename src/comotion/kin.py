@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from comotion.data import read_json
 from comotion.errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -346,12 +347,12 @@ def chain_from_dict(d: dict) -> KinematicChain:
 
 
 def load_chain(path: str | Path) -> KinematicChain:
-    """Read a chain file; one that is missing or malformed is a ConfigError
-    naming the file."""
+    """Read a chain file; one that is missing, unreadable or malformed is a
+    ConfigError naming the file."""
+    doc = read_json(path, "chain file", ConfigError)
     try:
-        with open(path) as f:
-            return chain_from_dict(json.load(f))
-    except (AttributeError, OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        return chain_from_dict(doc)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"chain file {path}: {exc!r}") from None
 
 

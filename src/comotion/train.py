@@ -49,7 +49,6 @@ from comotion.hmm import (
     forward,
     forward_unobserved,
     init_segments,
-    occupancy,
 )
 from comotion.infer import conditional_predictions
 from comotion.net import AdamState, adam_step
@@ -193,24 +192,6 @@ def _validation_mse(v_h, v_r, hmms, val: list[_TrajFeatures], variant: Variant) 
     return float(np.mean(errs))
 
 
-def _occupancy_guard(hmm: Hmm, seqs: list[np.ndarray], n_states: int) -> Hmm:
-    """Replace a collapsed refit with the plain segment initialization.
-
-    A refit has collapsed when a state's ``occupancy`` over the label's
-    sequences, all taken through one padded forward pass, falls below a tenth
-    of the uniform share.
-    """
-    occ = occupancy(hmm, seqs)
-    if occ.min() < 1.0 / (10.0 * n_states):
-        log.warning(
-            "sequence-model component occupancy collapsed (min %.4f); "
-            "falling back to segment initialization",
-            occ.min(),
-        )
-        return init_segments(seqs, n_states, hmm.d_z)
-    return hmm
-
-
 def _refit_hmms(v_h, v_r, fit, config, rng) -> dict[str, tuple[Hmm, None]]:
     """Estimate each interaction's model from fresh posterior samples."""
     by_label: dict[str, list[np.ndarray]] = {}
@@ -220,13 +201,11 @@ def _refit_hmms(v_h, v_r, fit, config, rng) -> dict[str, tuple[Hmm, None]]:
         z_h = mu_h + np.sqrt(var_h) * rng.standard_normal(mu_h.shape)
         z_r = mu_r + np.sqrt(var_r) * rng.standard_normal(mu_r.shape)
         by_label.setdefault(f.label, []).append(np.hstack([z_h, z_r]))
-    out = {}
-    for label in sorted(by_label):
-        seqs = by_label[label]
-        init = init_segments(seqs, config.n_states, config.d_z)
-        fitted, _ = em_fit(init, seqs, config.em_max_iters, config.em_tol)
-        out[label] = (_occupancy_guard(fitted, seqs, config.n_states), None)
-    return out
+    return {
+        label: (em_fit(init_segments(seqs, config.n_states, config.d_z), seqs,
+                       config.em_max_iters, config.em_tol)[0], None)
+        for label, seqs in sorted(by_label.items())
+    }
 
 
 def _prior_packs(hmms) -> dict[str, tuple[PriorPack, PriorPack]]:

@@ -306,13 +306,14 @@ def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, 
     [
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{missing}"], "missing.json"),
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{no_limits}"], "no_limits.json"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{directory}"], "a_directory"),
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--prior", "0", "0"], "--prior"),
         (["inspect-hmm", "--model", "{missing}", "--horizon", "0"], "--horizon"),
         (["rollout", "--model", "{directory}", "--data", "{missing}"], "a_directory"),
         (["--config", "{config}", "train-hri", "--hhi", "{directory}"], "a_directory"),
         (["--config", "{directory}", "eval"], "a_directory"),
     ],
-    ids=["chain-missing", "chain-without-limits", "prior-width", "horizon-zero",
+    ids=["chain-missing", "chain-without-limits", "chain-directory", "prior-width", "horizon-zero",
          "rollout-model-directory", "hhi-model-directory", "config-directory"],
 )
 def test_bad_cli_argument_is_exit_2(tmp_path, capsys, argv, named):
@@ -361,6 +362,34 @@ def test_output_path_is_created_or_exit_2_naming_it(small_model, tmp_path, capsy
         assert named in err
     else:
         assert "latent_mean" in json.loads((tmp_path / named).read_text())
+
+
+def test_eval_out_that_is_a_file_fails_before_any_training(tmp_path, capsys, monkeypatch):
+    from comotion import evaluate
+
+    trained = []
+    monkeypatch.setattr(evaluate, "train_hhi", lambda *args: trained.append(args))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_small_config()))
+    (tmp_path / "a_file").write_text("")
+    assert main(["--config", str(config), "--out", str(tmp_path / "a_file"), "eval"]) == 2
+    err = capsys.readouterr().err
+    assert trained == []
+    assert str(tmp_path / "a_file") in err and "Traceback" not in err
+
+
+def test_eval_prediction_dump_that_cannot_be_written_is_exit_2_naming_it(tmp_path, capsys):
+    from comotion.evaluate import parse_experiment
+
+    config = _small_config(variants=["v1"])
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    dataset = parse_experiment(config).dataset
+    first = dataset.assignment.index("test")
+    blocked = tmp_path / "out" / "dumps" / "v1" / "seed0" / f"traj{first:03d}_pred.npy"
+    blocked.mkdir(parents=True)
+    assert main(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"), "eval"]) == 2
+    err = capsys.readouterr().err
+    assert str(blocked) in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from comotion.hmm import (
     forward_unobserved,
     gmr_condition,
     init_segments,
-    occupancy,
     state_log_liks,
 )
 
@@ -277,25 +277,99 @@ def test_em_converging_iteration_runs_no_backward_pass(monkeypatch):
     assert len(calls) == len(trace) - 1
 
 
-def test_occupancy_matches_per_sequence_forward():
-    """One padded forward pass over ragged sequences gives the average of
-    each sequence's own forward variable averaged over its steps."""
+def test_em_fit_forward_passes_end_on_the_returned_model(monkeypatch):
+    """A converged fit runs one forward pass per trace entry; one that runs
+    out of iterations runs one more, over its last M-step's model."""
+    forward_log = _kernels.forward_log
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return forward_log(*args)
+
+    monkeypatch.setattr(_kernels, "forward_log", counted)
+    rng = np.random.default_rng(14)
+    seqs = [np.cumsum(rng.standard_normal((40, 4)), axis=0) for _ in range(4)]
+    _, trace = em_fit(init_segments(seqs, 3, 2), seqs, max_iters=50, tol=1e-4)
+    assert 1 < len(trace) < 50
+    assert len(calls) == len(trace)
+    calls.clear()
+    _, trace = em_fit(init_segments(seqs, 3, 2), seqs, max_iters=3, tol=1e-12)
+    assert len(trace) == 3
+    assert len(calls) == 4
+
+
+def _two_state_runs(rng, runs):
+    """A separated two-state model over (2,) points, and one sequence per
+    (steps in state 0, steps in state 1) entry of ``runs``, in that order."""
+    hmm = Hmm(np.full(2, 0.5), np.full((2, 2), 0.5), np.array([[0.0, 0.0], [8.0, 8.0]]),
+              np.stack([np.eye(2)] * 2), 1)
+    seqs = [
+        np.vstack([np.zeros((n0, 2)), np.full((n1, 2), 8.0)]) + 0.1 * rng.standard_normal((n0 + n1, 2))
+        for n0, n1 in runs
+    ]
+    return hmm, seqs
+
+
+def test_em_fit_occupancy_averages_each_sequence_over_its_own_steps(caplog):
+    """The collapse rule reads each sequence's forward variable averaged over
+    its real steps, then averaged over the sequences, as the per-sequence
+    ``forward`` oracle gives it. On these ragged sets, pooling the steps of
+    all sequences would decide the other way."""
     rng = np.random.default_rng(15)
-    hmm = random_hmm(rng, 4, 2)
-    seqs, _ = sample_hmm_sequences(hmm, rng, 5, 60)
-    seqs = [s[:n] for s, n in zip(seqs, (60, 23, 2, 41, 59))]
-    expected = np.mean([forward(hmm, s).mean(axis=0) for s in seqs], axis=0)
-    np.testing.assert_allclose(occupancy(hmm, seqs), expected, rtol=0, atol=1e-12)
+    threshold = 1.0 / (10.0 * 2)
+    # state 1 fills one short sequence of two: kept, though it holds 6 of 206 steps
+    # state 1 fills half of one long sequence of twenty: replaced, though it holds
+    # 200 of 495 steps
+    for runs, collapses in (([(200, 0), (0, 6)], False), ([(200, 200)] + [(5, 0)] * 19, True)):
+        hmm, seqs = _two_state_runs(rng, runs)
+        alphas = [forward(hmm, s) for s in seqs]
+        expected = np.mean([a.mean(axis=0) for a in alphas], axis=0)
+        pooled = np.concatenate(alphas).mean(axis=0)
+        assert (expected.min() < threshold) == collapses != (pooled.min() < threshold)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="comotion.hmm"):
+            fitted, trace = em_fit(hmm, seqs, max_iters=0)
+        assert trace.shape == (0,)
+        kept = init_segments(seqs, 2, 1) if collapses else hmm
+        for field in ("pi", "trans", "means", "covs"):
+            np.testing.assert_array_equal(getattr(fitted, field), getattr(kept, field))
+        warned = [r.getMessage() for r in caplog.records if "occupancy collapsed" in r.getMessage()]
+        assert warned == ([f"sequence-model component occupancy collapsed (min {expected.min():.4f}); "
+                           "falling back to segment initialization"] if collapses else [])
 
 
-def test_occupancy_collapse_names_timestep():
+def test_em_fit_keeps_a_healthy_fit_and_replaces_a_collapsed_one(caplog):
+    """A model whose last state is never visited falls back to the segment
+    initialization of the same sequences; one that visits every state stays."""
+    rng = np.random.default_rng(16)
+    seqs = [
+        np.linspace(0.0, 3.0, n)[:, None] + 0.05 * rng.standard_normal((n, 2))
+        for n in (30, 24, 37)
+    ]
+    healthy = init_segments(seqs, 3, 1)
+    collapsed = init_segments(seqs, 3, 1)
+    collapsed.means[2] = 50.0
+    with caplog.at_level(logging.WARNING):
+        kept, _ = em_fit(healthy, seqs, max_iters=0)
+        assert not caplog.records
+        out, _ = em_fit(collapsed, seqs, max_iters=0)
+    assert any("occupancy collapsed" in r.getMessage() for r in caplog.records)
+    for field in ("pi", "trans", "means", "covs"):
+        np.testing.assert_array_equal(getattr(kept, field), getattr(healthy, field))
+        np.testing.assert_array_equal(getattr(out, field), getattr(healthy, field))
+
+
+@pytest.mark.parametrize("max_iters", [0, 20])
+def test_em_fit_collapse_names_timestep(max_iters):
     """A collapse after the end of a shorter sequence is found in the longer
-    one; the shorter one's padding is not a collapse."""
+    one; the shorter one's padding is not a collapse. With no iterations the
+    pass that finds it is the one that decides the occupancy fallback."""
     covs = np.stack([1e-18 * np.eye(2)] * 2)
     h = Hmm(np.array([1.0, 0.0]), np.eye(2), np.zeros((2, 2)), covs, 1)
     seqs = [np.zeros((2, 2)), np.vstack([np.zeros((3, 2)), np.full((2, 2), 1e200)])]
     with pytest.raises(NumericalError, match="timestep 3"):
-        occupancy(h, seqs)
+        em_fit(h, seqs, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from comotion.data import SynthInteraction, SynthSpec, split, synth_generate
 from comotion.errors import ConfigError
 from comotion.gauss import Gaussian
-from comotion.hmm import Hmm, TransitionStateModel, forward_unobserved, init_segments
+from comotion.hmm import Hmm, TransitionStateModel, forward_unobserved
 from comotion.train import (
     ModelBundle,
     TrainConfig,
     _initial_hmm,
-    _occupancy_guard,
+    _refit_hmms,
     fit_transition_states,
     load_bundle,
     save_bundle,
@@ -60,23 +61,37 @@ def test_initial_hmm_is_zero_mean_identity():
     assert np.allclose(bar, 1.0 / 6.0)
 
 
-def test_occupancy_guard_keeps_a_healthy_refit_and_replaces_a_collapsed_one(caplog):
-    """A refit whose last state is never visited falls back to the segment
-    initialization of the same sequences; one that visits every state stays."""
-    rng = np.random.default_rng(16)
-    seqs = [
-        np.linspace(0.0, 3.0, n)[:, None] + 0.05 * rng.standard_normal((n, 2))
-        for n in (30, 24, 37)
-    ]
-    healthy = init_segments(seqs, 3, 1)
-    assert _occupancy_guard(healthy, seqs, 3) is healthy
-    collapsed = init_segments(seqs, 3, 1)
-    collapsed.means[2] = 50.0
-    with caplog.at_level(logging.WARNING):
-        out = _occupancy_guard(collapsed, seqs, 3)
-    assert any("occupancy collapsed" in r.message for r in caplog.records)
-    for field in ("pi", "trans", "means", "covs"):
-        np.testing.assert_array_equal(getattr(out, field), getattr(healthy, field))
+def test_refit_runs_no_forward_pass_outside_em_fit(monkeypatch, small_dataset, small_config,
+                                                  hhi_bundle):
+    """A refit is ``init_segments`` then ``em_fit`` per interaction: with one
+    EM iteration each fit makes two forward passes, the E-step's and the
+    last one over the model it returns, and the refit makes no other."""
+    from comotion import _kernels, train
+    from comotion.train import _featurize, _fit_val_split
+
+    forward_log, em_fit = _kernels.forward_log, train.em_fit
+    calls = {"in em_fit": 0, "elsewhere": 0}
+    inside = []
+
+    def counted_forward(*args):
+        calls["in em_fit" if inside else "elsewhere"] += 1
+        return forward_log(*args)
+
+    def spied_em_fit(*args):
+        inside.append(1)
+        try:
+            return em_fit(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_kernels, "forward_log", counted_forward)
+    monkeypatch.setattr(train, "em_fit", spied_em_fit)
+    fit, _ = _fit_val_split(_featurize(small_dataset.subset("train"), small_config.window),
+                            small_config.val_fraction, 0)
+    config = replace(small_config, em_max_iters=1)
+    hmms = _refit_hmms(hhi_bundle.human_vae, hhi_bundle.robot_vae, fit, config,
+                       np.random.default_rng(0))
+    assert calls == {"in em_fit": 2 * len(hmms), "elsewhere": 0}
 
 
 def test_hhi_loss_decreases(small_dataset, small_config, hhi_bundle):
