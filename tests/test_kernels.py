@@ -13,6 +13,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
+from comotion.gauss import regularize_spd
 from comotion.hmm import (
     Hmm,
     em_fit,
@@ -376,7 +377,13 @@ def test_em_fit_e_step_on_ragged_sequences_matches_reference():
     np.testing.assert_allclose(fitted.pi, pi / pi.sum(), atol=TOL)
     g = np.concatenate(gammas)
     x = np.concatenate(seqs)
-    np.testing.assert_allclose(fitted.means, (g.T @ x) / g.sum(axis=0)[:, None], atol=TOL)
+    mass = g.sum(axis=0)
+    means = (g.T @ x) / mass[:, None]
+    np.testing.assert_allclose(fitted.means, means, atol=TOL)
+    # second moments one state at a time
+    covs = [regularize_spd((x * g[:, [i]]).T @ x / mass[i] - np.outer(means[i], means[i]))
+            for i in range(3)]
+    np.testing.assert_allclose(fitted.covs, covs, atol=TOL)
 
 
 # ---------------------------------------------------------------------------
