@@ -7,11 +7,22 @@ when the contact gate has fired and a hand target is available, pulls the
 commanded joints toward the target with prior-regularized IK. The gate
 latches: once a trajectory enters its contact phase it never drops back.
 
+The IK is one local solve, started at the decoded prediction and pulled
+toward it by the joint prior (``ik_with_prior`` with ``restarts=0``). The
+random restarts of ``comotion ik-demo``'s global search are left out online:
+on the reactive loops measured they never moved the command out of the
+prediction's basin, and the only way they could is by switching elbow
+branch between two frames, a jump in the command that a controller in
+contact with a person must not send. Each step carries the solve's
+residual, iterations and convergence flag (NaN, 0 and False without IK).
+
 A window with a non-finite entry (a bad sensor frame) does not end the
 episode: the step is flagged, the forward variable advances by prediction
 alone, the gate stays as it was, and the last command is held; before any
 command exists, the decoded r-block mixture mean of the predicted state
-distribution is commanded.
+distribution is commanded. A non-finite hand target does not end it either:
+that step skips IK and commands the decoded prediction, the gate carries on
+as usual, and the next finite target runs IK again.
 
 The step passes plain arrays and computes each quantity once: the encoder's
 (mu, var), one row of h-block emission log-densities that both the forward
@@ -61,6 +72,9 @@ class StepOutput:
     latent_mean: np.ndarray  # (d_z,) conditional mean of the r block
     ik_used: bool = False
     bad_frame: bool = False  # the window was not finite; the command is held
+    ik_residual: float = np.nan  # task-space error of the IK solution, in meters
+    ik_iterations: int = 0
+    ik_converged: bool = False
 
 
 def reactive_step(
@@ -72,7 +86,12 @@ def reactive_step(
     state: ReactiveState,
     smooth_weights: np.ndarray | None = None,
 ) -> tuple[StepOutput, ReactiveState]:
-    """One reactive step; returns the command and the advanced state."""
+    """One reactive step; returns the command and the advanced state.
+
+    Once the gate has fired, a finite ``hand_pos`` and a ``chain`` make the
+    command the one local IK solve from the decoded prediction, pulled toward
+    it; see the module docstring for why it takes no restarts.
+    """
     if interaction not in bundle.hmms:
         raise ConfigError(f"unknown interaction {interaction!r}")
     hmm, tsm = bundle.hmms[interaction]
@@ -89,24 +108,22 @@ def reactive_step(
     alpha_t, log_alpha = forward_step(hmm, log_lik, state.log_alpha)
     post_var = var[0] if bundle.config.variant.uses_cov else None
     latent_mean = gmr_condition(hmm, mu[0], post_var, alpha_t)
-    window = decode(v_r, latent_mean)
-    q_raw = window[-n_r:]
+    q_cmd = decode(v_r, latent_mean)[-n_r:]
     fired = False
     if tsm is not None:
         fired = contact_gate(alpha_t, log_lik, tsm, mu[0], prev=state.gate)
-    ik_used = False
-    if fired and hand_pos is not None and chain is not None:
-        sol = ik_with_prior(chain, hand_pos, q_raw, 1.0, 0.01)
+    ik = {}
+    if fired and chain is not None and hand_pos is not None and np.isfinite(hand_pos).all():
+        sol = ik_with_prior(chain, hand_pos, q_cmd, 1.0, 0.01, restarts=0)
         q_cmd = sol.q
-        ik_used = True
-    else:
-        q_cmd = q_raw
+        ik = dict(ik_used=True, ik_residual=sol.residual, ik_iterations=sol.iterations,
+                  ik_converged=sol.converged)
     buffer = state.buffer
     if smooth_weights is not None:
         buffer = (buffer + [q_cmd])[-len(smooth_weights) :]
         w = np.asarray(smooth_weights, dtype=np.float64)[-len(buffer) :]
         q_cmd = (w[:, None] * np.asarray(buffer)).sum(axis=0) / w.sum()
-    out = StepOutput(q_cmd, fired, alpha_t, latent_mean, ik_used)
+    out = StepOutput(q_cmd, fired, alpha_t, latent_mean, **ik)
     return out, ReactiveState(log_alpha, fired, buffer, state.t + 1, q_cmd)
 
 
@@ -128,6 +145,9 @@ class Rollout:
     ik_used: np.ndarray  # (n,) bool
     latent_mean: np.ndarray  # (n, d_z) conditional latent means
     bad_frame: np.ndarray  # (n,) bool; held steps of non-finite windows
+    ik_residual: np.ndarray  # (n,) meters; NaN where IK did not run
+    ik_iterations: np.ndarray  # (n,) int; 0 where IK did not run
+    ik_converged: np.ndarray  # (n,) bool
 
 
 def rollout(
@@ -155,13 +175,19 @@ def rollout(
             bundle, interaction, windows[t], hand, chain, state, smooth_weights
         )
         outs.append(out)
+    def column(name, dtype=None):
+        return np.asarray([getattr(o, name) for o in outs], dtype=dtype)
+
     return Rollout(
-        q=np.asarray([o.q_cmd for o in outs]),
-        alpha=np.asarray([o.alpha_t for o in outs]),
-        stiffness_low=np.asarray([o.stiffness_low for o in outs], dtype=bool),
-        ik_used=np.asarray([o.ik_used for o in outs], dtype=bool),
-        latent_mean=np.asarray([o.latent_mean for o in outs]),
-        bad_frame=np.asarray([o.bad_frame for o in outs], dtype=bool),
+        q=column("q_cmd"),
+        alpha=column("alpha_t"),
+        stiffness_low=column("stiffness_low", bool),
+        ik_used=column("ik_used", bool),
+        latent_mean=column("latent_mean"),
+        bad_frame=column("bad_frame", bool),
+        ik_residual=column("ik_residual", np.float64),
+        ik_iterations=column("ik_iterations", np.int64),
+        ik_converged=column("ik_converged", bool),
     )
 
 

@@ -6,10 +6,10 @@ transform. IK trades task-space error against distance to a preferred
 joint configuration, by damped Gauss-Newton (Levenberg-Marquardt style) on
 the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which comes out of the
 same forward pass as the end effector, batched over configurations; with
-the prior's weight at 0 it is plain damped least squares. Its restarts run
-as one batch: the starts are scored by one forward pass, and each round of
-the search advances every run on the full batch with masked writes, so no
-round gathers or scatters the runs still searching.
+the prior's weight at 0 it is plain damped least squares. Its restarts
+serve ``comotion ik-demo``'s global search over the objective's basins; the
+reactive loop runs the warm start alone. They run as one batch, each round
+advancing every run with masked writes, so no round gathers or scatters.
 """
 
 from __future__ import annotations
@@ -78,10 +78,11 @@ class KinematicChain:
     def n_joints(self) -> int:
         return len(self.joints)
 
-    @property
+    @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([j.lo for j in self.joints])
-        hi = np.array([j.hi for j in self.joints])
+        """Lower and upper joint limits (n,), built once and shared, so read-only."""
+        lo, hi = np.array([j.lo for j in self.joints]), np.array([j.hi for j in self.joints])
+        lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
     def clamp(self, q: np.ndarray, warn: bool = False) -> np.ndarray:
@@ -118,7 +119,7 @@ def fk_pose(chain: KinematicChain, q) -> np.ndarray:
     q = chain.clamp(np.asarray(q, dtype=np.float64), warn=True)
     if q.shape[0] != chain.n_joints:
         raise ValueError(f"expected {chain.n_joints} joint values, got {q.shape[0]}")
-    return _joint_frames(chain, q[None])[0, -1] @ chain.tool
+    return _joint_frames(chain, q[None])[0, -1]
 
 
 def fk(chain: KinematicChain, q) -> np.ndarray:
@@ -132,15 +133,18 @@ def jacobian(chain: KinematicChain, q) -> np.ndarray:
 
 
 def _joint_frames(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
-    """World frame of every joint after its rotation, (B, n, 4, 4), for the
-    configurations ``Q`` (B, n), not clamped: the one forward pass."""
+    """World frame of every joint after its rotation, then of the end effector,
+    (B, n+1, 4, 4), at the configurations ``Q`` (B, n), not clamped: the one pass."""
     a, b, c, _ = chain._link_terms
     links = a + np.cos(Q)[..., None, None] * b + np.sin(Q)[..., None, None] * c
-    frames = np.empty_like(links)
+    frames = np.empty((Q.shape[0], chain.n_joints + 1, 4, 4))
     t = chain.base
-    for i in range(chain.n_joints):
-        t = frames[:, i] = t @ links[:, i]
+    for i, link in enumerate([*np.swapaxes(links, 0, 1), chain.tool]):
+        t = np.matmul(t, link, out=frames[:, i])
     return frames
+
+
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(9, 3)  # e_k x e_l at row 3 k + l
 
 
 def _frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,23 +153,15 @@ def _frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarra
     clamped, from one forward pass.
 
     Column i of a Jacobian is ``a_i x (p_ee - p_i)`` for the world axis
-    ``a_i`` and origin ``p_i`` of joint i, with the cross product written out
-    row by row into the Jacobian.
+    ``a_i`` and origin ``p_i`` of joint i: the outer products of the axes and
+    offsets contracted with the Levi-Civita symbol.
     """
     frames = _joint_frames(chain, Q)
-    last = frames[:, -1]
-    points = np.empty((Q.shape[0], chain.n_joints + 1, 3))
-    points[:, :-1] = frames[..., :3, 3]
-    points[:, -1] = last[:, :3, :3] @ chain.tool[:3, 3] + last[:, :3, 3]
-    axes = (frames[..., :3, :3] @ chain._link_terms[3][..., None])[..., 0]
+    points = frames[..., :3, 3]
+    axes = (frames[:, :-1, :3, :3] @ chain._link_terms[3][..., None])[..., 0]
     d = points[:, -1:] - points[:, :-1]
-    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    jac = np.empty((Q.shape[0], 3, chain.n_joints))
-    jac[:, 0] = ay * dz - az * dy
-    jac[:, 1] = az * dx - ax * dz
-    jac[:, 2] = ax * dy - ay * dx
-    return points, jac
+    outer = (axes[..., :, None] * d[..., None, :]).reshape(*d.shape[:2], 9)
+    return points, np.swapaxes(outer @ _CROSS, 1, 2)
 
 
 @dataclass
@@ -216,13 +212,13 @@ def ik_with_prior(
     q0 = mu_q if q_init is None else np.asarray(q_init, dtype=np.float64)
     if not (np.all(np.isfinite(mu_q)) and np.all(np.isfinite(q0))):
         raise ValueError("joint prior and initial joints must be finite")
-    q0 = chain.clamp(q0)
-    lo, hi = chain.limits
-    restart_rng = np.random.default_rng(0)
-    q = np.vstack([q0, restart_rng.uniform(lo, hi, size=(restarts, chain.n_joints))])
+    q = chain.clamp(q0)[None]
+    if restarts:
+        draws = np.random.default_rng(0).uniform(*chain.limits, size=(restarts, chain.n_joints))
+        q = np.vstack([q, draws])
     obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
     if obj[0] == 0.0:
-        return IkSolution(q0, float(np.linalg.norm(rx[0])), 0, True)
+        return IkSolution(q[0], float(np.linalg.norm(rx[0])), 0, True)
     iters, converged = _prior_search(
         chain, x_target, mu_q, lambda_x, lambda_q, q, obj, rx, jac, grad_tol, max_iters
     )
@@ -237,7 +233,7 @@ def _prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
     points, jac = _frames(chain, Q)
     rx = points[:, -1] - x_target
     rq = Q - mu_q
-    obj = lambda_x * np.einsum("bi,bi->b", rx, rx) + lambda_q * np.einsum("bi,bi->b", rq, rq)
+    obj = lambda_x * (rx * rx).sum(axis=1) + lambda_q * (rq * rq).sum(axis=1)
     return obj, rx, jac
 
 
@@ -265,7 +261,8 @@ def _prior_search(
     a limit by the gradient take no step and are left out of the gradient
     test: their gradient entries are zero and their rows and columns of the
     system are the identity, which leaves the system of the free joints as it
-    is. So a minimum on the joint box's boundary counts as converged. A run
+    is; these masks are built only in rounds where a joint sits on a limit.
+    So a minimum on the joint box's boundary counts as converged. A run
     also stops, converged, once an accepted step lowers the objective by at
     most ``STALL_REL`` of its value: at large-residual minima Gauss-Newton
     converges only linearly, and the objective stops moving long before the
@@ -282,8 +279,10 @@ def _prior_search(
     while True:
         jt = np.swapaxes(jac, 1, 2)
         g = 2.0 * ((lambda_x * jt @ rx[:, :, None])[..., 0] + lambda_q * (q - mu_q))
-        free = ~(((q <= lo) & (g > 0)) | ((q >= hi) & (g < 0)))
-        g = np.where(free, g, 0.0)
+        at_lo, at_hi, free = q <= lo, q >= hi, None  # None: every joint free
+        if at_lo.any() or at_hi.any():
+            free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
+            g = np.where(free, g, 0.0)
         flat = np.sqrt((g * g).sum(axis=1)) < grad_tol
         # a run that begins an iteration ends on a flat gradient or a spent budget
         begin = searching & fresh
@@ -294,8 +293,9 @@ def _prior_search(
         searching &= ~done
         if not searching.any():
             return iters, converged
-        h = 2.0 * (lambda_x * jt @ jac + prior_h)
-        h = np.where(free[:, :, None] & free[:, None, :], h + lam[:, None, None] * eye, eye)
+        h = 2.0 * (lambda_x * jt @ jac + prior_h) + lam[:, None, None] * eye
+        if free is not None:
+            h = np.where(free[:, :, None] & free[:, None, :], h, eye)
         step = np.linalg.solve(h, -g[..., None])[..., 0]
         cand = np.minimum(np.maximum(q + _cap_step(step), lo), hi)
         obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)

@@ -18,7 +18,7 @@ from comotion.infer import (
     reactive_step,
     rollout,
 )
-from comotion.kin import default_arm_chain, fk
+from comotion.kin import default_arm_chain, fk, ik_with_prior
 from comotion.train import ModelBundle, TrainConfig, _initial_hmm, train_hhi, train_hri
 from comotion.vae import Vae, Variant, decode, encode_batch
 
@@ -88,6 +88,66 @@ def test_reactive_step_ik_fixed_point(trained):
     out, _ = reactive_step(forced, "greet", x, hand, chain, ReactiveState())
     assert out.ik_used and out.stiffness_low
     np.testing.assert_allclose(out.q_cmd, mu_q, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def forced(trained):
+    """The trained bundle with every state a contact state: the gate fires
+    on the first step, so a chain and a hand target run IK on every step."""
+    hmm, _ = trained.hmms["greet"]
+    tsm = TransitionStateModel.for_hmm(hmm, range(hmm.n_states), ())
+    return ModelBundle(
+        trained.human_vae, trained.robot_vae, {"greet": (hmm, tsm)}, trained.config, trained.seed
+    )
+
+
+def _hand_targets(chain, pair):
+    """A reachable hand target per frame: the hand of the recorded robot joints."""
+    return np.array([fk(chain, chain.clamp(q)) for q in pair.r_frames])
+
+
+def test_reactive_ik_is_one_local_solve_from_the_prediction(dataset, forced):
+    """Each IK command is the single warm-started solve from that step's
+    decoded prediction, bit for bit, and the global search with restarts
+    would not have moved it out of that basin; each step carries the
+    solve's outcome, and a step without IK carries NaN, 0 and False."""
+    chain = default_arm_chain()
+    pair = dataset.subset("test")[0]
+    hands = _hand_targets(chain, pair)
+    gate_off = rollout(forced, "greet", pair.h_frames)  # no chain: the decoded predictions
+    result = rollout(forced, "greet", pair.h_frames, chain, hands)
+    assert result.ik_used.all() and result.stiffness_low.all()
+    assert not gate_off.ik_used.any() and np.isnan(gate_off.ik_residual).all()
+    assert not gate_off.ik_iterations.any() and not gate_off.ik_converged.any()
+    for t, (q_raw, hand) in enumerate(zip(gate_off.q, hands[forced.config.window - 1 :])):
+        local = ik_with_prior(chain, hand, q_raw, 1.0, 0.01, restarts=0)
+        np.testing.assert_array_equal(result.q[t], local.q)
+        assert result.ik_residual[t] == local.residual
+        assert result.ik_iterations[t] == local.iterations > 0
+        assert result.ik_converged[t] == local.converged
+        full = ik_with_prior(chain, hand, q_raw, 1.0, 0.01, restarts=8)
+        assert np.abs(result.q[t] - full.q).max() < 1e-3
+
+
+def test_rollout_skips_ik_at_a_non_finite_hand_target(dataset, forced):
+    """A NaN hand frame does not end the episode: its step commands the
+    decoded prediction without IK, the gate stays latched, and the next
+    finite frame runs IK again, as if the bad frame had never been."""
+    chain = default_arm_chain()
+    pair = dataset.subset("test")[0]
+    hands = _hand_targets(chain, pair)
+    clean = rollout(forced, "greet", pair.h_frames, chain, hands)
+    hands[30] = np.nan  # the target of step 26
+    result = rollout(forced, "greet", pair.h_frames, chain, hands)
+    gate_off = rollout(forced, "greet", pair.h_frames)
+    assert np.flatnonzero(~result.ik_used).tolist() == [26]
+    assert result.stiffness_low.all()
+    np.testing.assert_array_equal(result.q[26], gate_off.q[26])
+    assert np.isnan(result.ik_residual[26]) and result.ik_iterations[26] == 0
+    assert not result.ik_converged[26]
+    rest = np.arange(len(result.q)) != 26
+    np.testing.assert_array_equal(result.q[rest], clean.q[rest])
+    np.testing.assert_array_equal(result.alpha, clean.alpha)
 
 
 def test_trained_beats_untrained_by_10x(dataset, trained, untrained):

@@ -257,17 +257,28 @@ def test_jacobian_matches_central_differences():
 
 
 def test_fk_points_match_matrix_product():
+    """Joint origins, end effector and Jacobian of a batch of nine
+    configurations against the explicit matrix product, one configuration
+    at a time, with each Jacobian column the cross product of the joint's
+    world axis and its offset to the end effector."""
     rng = np.random.default_rng(7)
-    for chain in (default_arm_chain(), _random_chain(rng, 5)):
+    for chain in (default_arm_chain(), planar_chain((1.0, 0.7, 0.4)), _random_chain(rng, 5)):
         lo, hi = chain.limits
-        q = rng.uniform(lo, hi)
-        t = chain.base.copy()
-        origins = []
-        for joint, qi in zip(chain.joints, q):
-            t = t @ joint.offset @ rotation_about(joint.axis, qi)
-            origins.append(t[:3, 3])
-        expected = np.vstack(origins + [(t @ chain.tool)[:3, 3]])
-        np.testing.assert_allclose(_frames(chain, q[None])[0][0], expected, rtol=0, atol=1e-12)
+        qs = rng.uniform(lo, hi, size=(9, chain.n_joints))
+        points, jac = _frames(chain, qs)
+        assert points.shape == (9, chain.n_joints + 1, 3)
+        assert jac.shape == (9, 3, chain.n_joints)
+        for b, q in enumerate(qs):
+            t = chain.base.copy()
+            origins, axes = [], []
+            for joint, qi in zip(chain.joints, q):
+                t = t @ joint.offset @ rotation_about(joint.axis, qi)
+                origins.append(t[:3, 3])
+                axes.append(t[:3, :3] @ joint.axis)
+            expected = np.vstack(origins + [(t @ chain.tool)[:3, 3]])
+            columns = [np.cross(a, expected[-1] - o) for a, o in zip(axes, origins)]
+            np.testing.assert_allclose(points[b], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac[b], np.array(columns).T, rtol=0, atol=1e-12)
 
 
 def test_ik_prior_restart_batch_matches_separate_runs():
