@@ -123,15 +123,26 @@ def cmd_rollout(args) -> int:
     return 0
 
 
+def _finite_arg(flag: str, values, non_negative: bool = False) -> np.ndarray:
+    """A numeric flag's values; an inf, a nan or, when asked, a negative value is a ConfigError."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all() or (non_negative and (arr < 0).any()):
+        want = "finite and non-negative" if non_negative else "finite"
+        raise ConfigError(f"{flag} must be {want}, got {arr.tolist()}")
+    return arr
+
+
 def cmd_ik_demo(args) -> int:
     chain = load_chain(args.chain) if args.chain else default_arm_chain()
-    target = np.asarray(args.target, dtype=np.float64)
+    target = _finite_arg("--target", args.target)
+    mu_q = _finite_arg("--prior", args.prior) if args.prior else np.zeros(chain.n_joints)
+    if mu_q.shape != (chain.n_joints,):
+        raise ConfigError(f"--prior has {mu_q.size} values; the chain has {chain.n_joints} joints")
+    _finite_arg("--lambda-x", args.lambda_x, non_negative=True)
+    _finite_arg("--lambda-q", args.lambda_q, non_negative=True)
     base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
     print(f"baseline IK: q={np.round(base.q, 4).tolist()} residual={base.residual:.2e} "
           f"iters={base.iterations} converged={base.converged}")
-    mu_q = np.asarray(args.prior, dtype=np.float64) if args.prior else np.zeros(chain.n_joints)
-    if mu_q.shape != (chain.n_joints,):
-        raise ConfigError(f"--prior has {mu_q.size} values; the chain has {chain.n_joints} joints")
     sol = ik_with_prior(chain, target, mu_q, args.lambda_x, args.lambda_q)
     print(f"prior IK:    q={np.round(sol.q, 4).tolist()} residual={sol.residual:.2e} "
           f"iters={sol.iterations} converged={sol.converged}")

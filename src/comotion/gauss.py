@@ -99,5 +99,5 @@ def log_pdf(g: Gaussian, x) -> float:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != g.dim:
         raise ValueError(f"point dim {x.shape[0]} != Gaussian dim {g.dim}")
-    chol = cholesky_or_raise(g.cov)
-    return float(chol_logpdf(x[None, :], g.mean, chol)[0])
+    chol_inv = np.linalg.inv(cholesky_or_raise(g.cov))
+    return float(chol_logpdf(x[None, :], g.mean, chol_inv)[0])

@@ -24,8 +24,8 @@ The kernels pick their schedule from what they are given: a left-to-right
 model, which ``init_segments`` builds and ``em_fit`` keeps, over more
 steps than states is swept one state at a time over all steps; the online
 step, dense models and a step no state explains loop over time. Emission
-densities factor all state covariances with one stacked Cholesky per call;
-the factors are not cached on the model, which ``em_fit`` updates in place.
+densities take one stacked Cholesky and one stacked ``inv`` of the factors
+per call, not cached on the model, which ``em_fit`` updates in place.
 Mixture conditioning is batched, with a single step as a batch of one.
 One helper, ``_gain_solve``, builds each state's h-block covariance (plus
 the posterior variance when given), solves it and turns a singular solve
@@ -128,10 +128,10 @@ def state_log_liks(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray
             f"observations of width {obs.shape[-1]} do not match block "
             f"{block!r} of width {means.shape[1]}"
         )
-    chols = cholesky_or_raise(covs)  # one stacked factorization, (N, d, d)
+    chol_invs = np.linalg.inv(cholesky_or_raise(covs))  # stacked, (N, d, d)
     out = np.empty((obs.shape[0], hmm.n_states))
     for i in range(hmm.n_states):
-        out[:, i] = _kernels.chol_logpdf(obs, means[i], chols[i])
+        out[:, i] = _kernels.chol_logpdf(obs, means[i], chol_invs[i])
     return out
 
 

@@ -116,10 +116,17 @@ class KinematicChain:
 
 def fk_pose(chain: KinematicChain, q) -> np.ndarray:
     """Full end-effector pose as a 4x4 homogeneous transform."""
-    q = chain.clamp(np.asarray(q, dtype=np.float64), warn=True)
-    if q.shape[0] != chain.n_joints:
-        raise ValueError(f"expected {chain.n_joints} joint values, got {q.shape[0]}")
+    q = chain.clamp(_joint_vector(chain, q, "joint values"), warn=True)
     return _joint_frames(chain, q[None])[0, -1]
+
+
+def _joint_vector(chain: KinematicChain, q, what: str) -> np.ndarray:
+    """``q`` as a float array, checked to hold one value per joint: a vector
+    of another length would broadcast against the limits in ``clamp``."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (chain.n_joints,):
+        raise ValueError(f"expected {chain.n_joints} {what}, got shape {q.shape}")
+    return q
 
 
 def fk(chain: KinematicChain, q) -> np.ndarray:
@@ -203,13 +210,13 @@ def ik_with_prior(
     ``residual`` reports the task-space error of the result and
     ``iterations`` sums all runs.
     """
-    if lambda_x < 0 or lambda_q < 0:
-        raise ValueError("lambda weights must be non-negative")
+    if not (0.0 <= lambda_x < math.inf and 0.0 <= lambda_q < math.inf):  # a nan fails too
+        raise ValueError(f"lambda weights must be finite and non-negative: {lambda_x}, {lambda_q}")
     x_target = np.asarray(x_target, dtype=np.float64)
-    if not np.all(np.isfinite(x_target)):
-        raise ValueError("target position must be finite")
-    mu_q = np.asarray(mu_q, dtype=np.float64)
-    q0 = mu_q if q_init is None else np.asarray(q_init, dtype=np.float64)
+    if x_target.shape != (3,) or not np.all(np.isfinite(x_target)):
+        raise ValueError(f"target position must be 3 finite values, got {x_target.tolist()}")
+    mu_q = _joint_vector(chain, mu_q, "prior joint values")
+    q0 = mu_q if q_init is None else _joint_vector(chain, q_init, "initial joint values")
     if not (np.all(np.isfinite(mu_q)) and np.all(np.isfinite(q0))):
         raise ValueError("joint prior and initial joints must be finite")
     q = chain.clamp(q0)[None]

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import comotion
 from comotion import cli
 from comotion.cli import main
 from comotion.data import load_dataset
@@ -308,12 +312,20 @@ def test_malformed_config_is_exit_2_naming_the_field(tmp_path, capsys, changes, 
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{no_limits}"], "no_limits.json"),
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--chain", "{directory}"], "a_directory"),
         (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--prior", "0", "0"], "--prior"),
+        (["ik-demo", "--target", "nan", "0", "0"], "--target"),
+        (["ik-demo", "--target", "inf", "0", "0"], "--target"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--prior", "nan", "0", "0", "0"], "--prior"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--lambda-q", "-1"], "--lambda-q"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--lambda-x", "nan"], "--lambda-x"),
+        (["ik-demo", "--target", "0.2", "0.05", "-0.1", "--lambda-x", "inf"], "--lambda-x"),
         (["inspect-hmm", "--model", "{missing}", "--horizon", "0"], "--horizon"),
         (["rollout", "--model", "{directory}", "--data", "{missing}"], "a_directory"),
         (["--config", "{config}", "train-hri", "--hhi", "{directory}"], "a_directory"),
         (["--config", "{directory}", "eval"], "a_directory"),
     ],
-    ids=["chain-missing", "chain-without-limits", "chain-directory", "prior-width", "horizon-zero",
+    ids=["chain-missing", "chain-without-limits", "chain-directory", "prior-width",
+         "target-nan", "target-inf", "prior-nan", "lambda-q-negative", "lambda-x-nan",
+         "lambda-x-inf", "horizon-zero",
          "rollout-model-directory", "hhi-model-directory", "config-directory"],
 )
 def test_bad_cli_argument_is_exit_2(tmp_path, capsys, argv, named):
@@ -428,3 +440,24 @@ def test_rollout_of_a_checkpoint_with_a_negative_transition_is_exit_2(small_mode
     assert main(["--out", str(tmp_path / "roll.csv"), *argv]) == 2
     err = capsys.readouterr().err
     assert f"interactions.{label}" in err and "trans row 0" in err and "Traceback" not in err
+
+
+def test_cli_loads_no_scipy_until_the_rank_test_runs():
+    # a fresh interpreter: this one has scipy loaded by other test modules
+    package = Path(comotion.__file__).resolve().parent
+    code = (
+        "import sys, comotion.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('comotion.')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "from comotion.evaluate import mann_whitney_u\n"
+        "mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.5])\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    modules, scipy_modules, stats_loaded = run.stdout.splitlines()
+    every = sorted(f"comotion.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    assert modules == repr(every)
+    assert scipy_modules == "[]"
+    assert stats_loaded == "True"

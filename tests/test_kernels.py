@@ -4,12 +4,12 @@ The reference loops below run one sequence at a time, step by step, in log
 space, and are kept here as the oracle for the batched recursions of
 ``_kernels``; the Gaussian log-density is checked against scipy and a
 row-by-row forward substitution, and ``state_log_liks`` bit for bit
-against one Cholesky and one scipy triangular solve per state.
+against one Cholesky and one inverse per state and against scipy's
+``multivariate_normal``.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
@@ -112,18 +112,17 @@ def chol_logpdf_rows(x, mean, chol_lower):
 
 
 def state_log_liks_per_state(hmm, obs, block="full"):
-    """(T, N) emission log-likelihoods, one factorization and one scipy
-    triangular solve per state."""
+    """(T, N) emission log-likelihoods, one factorization and one inverse
+    of the factor per state."""
     means, covs = hmm.block_params(block)
     d = means.shape[1]
     out = np.empty((obs.shape[0], hmm.n_states))
     for i in range(hmm.n_states):
-        chol = np.linalg.cholesky(covs[i])
-        y = solve_triangular(chol, (obs - means[i]).T, lower=True)
-        with np.errstate(over="ignore"):
-            maha = (y * y).sum(axis=0)
-        logdet = 2.0 * np.log(np.diag(chol)).sum()
-        out[:, i] = -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
+        chol_inv = np.linalg.inv(np.linalg.cholesky(covs[i]))
+        y = (obs - means[i]) @ chol_inv.T
+        maha = np.einsum("ij,ij->i", y, y)
+        logdet = -2.0 * np.log(np.diag(chol_inv)).sum()
+        out[:, i] = -0.5 * (maha + (logdet + d * np.log(2.0 * np.pi)))
     return out
 
 
@@ -501,7 +500,7 @@ def test_chol_logpdf_paths_agree_and_match_scipy():
     mean = rng.standard_normal(d)
     x = rng.standard_normal((30, d))
     chol = np.linalg.cholesky(cov)
-    got = K.chol_logpdf(x, mean, chol)
+    got = K.chol_logpdf(x, mean, np.linalg.inv(chol))
     np.testing.assert_allclose(got, chol_logpdf_rows(x, mean, chol), atol=1e-11)
     np.testing.assert_allclose(got, multivariate_normal(mean, cov).logpdf(x), atol=1e-10)
 
@@ -510,8 +509,26 @@ def test_chol_logpdf_paths_agree_and_match_scipy():
 @pytest.mark.parametrize("block", ["full", "h", "r"])
 @pytest.mark.parametrize("rows", [1, 40])
 def test_state_log_liks_bit_identical_to_per_state_solves(d_z, block, rows):
-    # d_z = 1 makes the h and r factors 1x1, which are both C- and
-    # F-ordered, so scipy's solve_triangular takes its other branch there
+    hmm, obs = _random_block_case(d_z, block, rows)
+    np.testing.assert_array_equal(
+        state_log_liks(hmm, obs, block), state_log_liks_per_state(hmm, obs, block)
+    )
+
+
+@pytest.mark.parametrize("d_z", [1, 3])
+@pytest.mark.parametrize("block", ["full", "h", "r"])
+@pytest.mark.parametrize("rows", [1, 40])
+def test_state_log_liks_matches_scipy_multivariate_normal(d_z, block, rows):
+    hmm, obs = _random_block_case(d_z, block, rows)
+    means, covs = hmm.block_params(block)
+    want = np.stack(
+        [multivariate_normal(m, c).logpdf(obs).reshape(-1) for m, c in zip(means, covs)], axis=1
+    )
+    np.testing.assert_allclose(state_log_liks(hmm, obs, block), want, rtol=0, atol=1e-10)
+
+
+def _random_block_case(d_z, block, rows):
+    """A random 4-state HMM over 2 d_z dimensions and ``rows`` points of ``block``'s width."""
     rng = np.random.default_rng(5)
     dim = 2 * d_z
     a = rng.standard_normal((4, dim, dim))
@@ -523,10 +540,7 @@ def test_state_log_liks_bit_identical_to_per_state_solves(d_z, block, rows):
         d_z,
     )
     width = dim if block == "full" else d_z
-    obs = 2.0 * rng.standard_normal((rows, width))
-    np.testing.assert_array_equal(
-        state_log_liks(hmm, obs, block), state_log_liks_per_state(hmm, obs, block)
-    )
+    return hmm, 2.0 * rng.standard_normal((rows, width))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -534,8 +548,9 @@ def test_chol_logpdf_rejects_non_finite_points_and_factors(bad):
     chol = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
     x = np.zeros((3, 2))
     x[1, 0] = bad
+    chol_inv = np.linalg.inv(chol)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.chol_logpdf(x, np.zeros(2), chol)
-    chol[1, 0] = bad
+        K.chol_logpdf(x, np.zeros(2), chol_inv)
+    chol_inv[1, 0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol)
+        K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol_inv)

@@ -208,6 +208,38 @@ def test_ik_prior_rejects_negative_weights():
         ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], -1.0, 0.01)
 
 
+@pytest.mark.parametrize("lambda_x, lambda_q", [(np.nan, 0.01), (1.0, np.nan), (np.inf, 0.01),
+                                                (1.0, np.inf)])
+def test_ik_prior_rejects_non_finite_weights(lambda_x, lambda_q):
+    with pytest.raises(ValueError, match="must be finite"):
+        ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], lambda_x, lambda_q)
+
+
+@pytest.mark.parametrize("q", [[0.3], [0.3] * 5, [[0.3] * 4], 0.3])
+def test_fk_rejects_joint_vectors_of_the_wrong_shape(q):
+    # one value would broadcast against the four joint limits in clamp
+    with pytest.raises(ValueError, match="expected 4 joint values"):
+        fk(default_arm_chain(), q)
+
+
+@pytest.mark.parametrize("mu_q, q_init, named", [
+    ([0.0], None, "prior joint values"),
+    ([0.0] * 5, None, "prior joint values"),
+    ([0.0] * 4, [0.0], "initial joint values"),
+    ([0.0] * 4, [0.0] * 3, "initial joint values"),
+])
+def test_ik_prior_rejects_joint_vectors_of_the_wrong_length(mu_q, q_init, named):
+    chain = default_arm_chain()
+    with pytest.raises(ValueError, match=f"expected 4 {named}"):
+        ik_with_prior(chain, [0.2, 0.05, -0.1], mu_q, q_init=q_init)
+
+
+@pytest.mark.parametrize("target", [[0.2, 0.05], [0.2], [[0.2, 0.05, -0.1]], [np.nan, 0.0, 0.0]])
+def test_ik_prior_rejects_a_target_that_is_not_3_finite_values(target):
+    with pytest.raises(ValueError, match="target position must be 3 finite values"):
+        ik_with_prior(default_arm_chain(), target, np.zeros(4))
+
+
 def _fk_reference(chain, q):
     """End effector by the explicit matrix product, not clamped."""
     t = chain.base.copy()
