@@ -19,8 +19,8 @@ import numpy as np
 from comotion.data import Dataset, load_dataset, open_output, pair_features, save_dataset, write_csv
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.evaluate import Experiment, load_config, parse_experiment, run_experiment
-from comotion.hmm import forward, forward_unobserved
-from comotion.infer import rollout
+from comotion.hmm import forward_unobserved
+from comotion.infer import predict_trajectories, rollout
 from comotion.kin import default_arm_chain, fk, ik_with_prior, load_chain
 from comotion.train import (
     ModelBundle,
@@ -31,7 +31,6 @@ from comotion.train import (
     train_hri,
     write_trace,
 )
-from comotion.vae import encode_batch
 
 
 def _experiment(args) -> Experiment:
@@ -181,16 +180,12 @@ def _print_state_timing(bundle, ds: Dataset, label: str) -> None:
     hmm = bundle.hmms[label][0]
     w = bundle.config.window
     firsts: dict[int, list[int]] = {i: [] for i in range(hmm.n_states)}
-    for pair in ds.pairs:
-        if pair.label != label:
-            continue
-        x_h, _ = pair_features(pair, w)
-        mu, _, _, _ = encode_batch(bundle.human_vae, x_h)
-        states = forward(hmm, mu, "h").argmax(axis=1)
-        for i in range(hmm.n_states):
-            hits = np.flatnonzero(states == i)
-            if hits.size:
-                firsts[i].append(int(hits[0]))
+    trajectories = [(label, pair_features(p, w)[0]) for p in ds.pairs if p.label == label]
+    for _, alpha in predict_trajectories(bundle.human_vae, bundle.robot_vae, bundle.hmms,
+                                         trajectories, bundle.config.variant):
+        states = alpha.argmax(axis=1)
+        for i in np.unique(states):
+            firsts[i].append(int(np.argmax(states == i)))
     for i in range(hmm.n_states):
         if firsts[i]:
             print(

@@ -17,7 +17,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from comotion.data import (
 )
 from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.hmm import TransitionStateModel
-from comotion.infer import conditional_predictions
+from comotion.infer import predict_trajectories
 from comotion.train import (
     ModelBundle,
     TrainConfig,
@@ -219,24 +218,16 @@ def evaluate_bundle(
     predicted windows (.npy) are written there too, for plotting.
     """
     out = []
-    variant = bundle.config.variant
     w = bundle.config.window
-    for i, (pair, assign) in enumerate(zip(dataset.pairs, dataset.assignment)):
-        if assign != "test":
-            continue
-        x_h, x_r = pair_features(pair, w)
-        pred, alpha = conditional_predictions(
-            bundle.human_vae, bundle.robot_vae, bundle.hmms[pair.label][0], x_h, variant
-        )
+    tests = [(i, pair, *pair_features(pair, w))
+             for i, (pair, assign) in enumerate(zip(dataset.pairs, dataset.assignment))
+             if assign == "test"]
+    preds = predict_trajectories(bundle.human_vae, bundle.robot_vae, bundle.hmms,
+                                 [(pair.label, x_h) for _, pair, x_h, _ in tests],
+                                 bundle.config.variant)
+    for (i, pair, _, x_r), (pred, alpha) in zip(tests, preds):
         n_r = x_r.shape[1] // w
-        out.append(
-            (
-                pair.label,
-                i,
-                mse(pred, x_r),
-                mse(pred[:, -n_r:], x_r[:, -n_r:]),
-            )
-        )
+        out.append((pair.label, i, mse(pred, x_r), mse(pred[:, -n_r:], x_r[:, -n_r:])))
         if dump_dir is not None:
             write_csv(dump_dir / f"traj{i:03d}_alpha.csv",
                       ["t", *(f"alpha_{j + 1}" for j in range(alpha.shape[1]))],
@@ -278,6 +269,7 @@ def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None)
     with output_errors(exp.out):  # an unusable out fails before any training
         exp.out.mkdir(parents=True, exist_ok=True)
     if exp.threads > 1 and len(exp.seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=exp.threads) as pool:
             results = list(pool.map(_seed_job, itertools.repeat(exp), exp.seeds))
     else:

@@ -17,12 +17,12 @@ conditional mean of the r block, the only moment the reactive step decodes.
 Every recursion calls the log-space kernels of ``comotion._kernels``: the
 online step is the kernel's one-step prediction followed by a forward pass
 of length one, the observation-free recursion is a forward pass over zero
-log-likelihoods, and ``em_fit`` runs the E-step of all sequences at once,
-padded to the longest; its last forward pass, of the model it returns,
-also gives the state occupancy that decides whether the fit collapsed.
-The kernels pick their schedule from what they are given: a left-to-right
-model, which ``init_segments`` builds and ``em_fit`` keeps, over more
-steps than states is swept one state at a time over all steps; the online
+log-likelihoods, and ``forward`` and ``em_fit`` run all their sequences as
+one pass, padded by one helper to the longest with log-likelihood 0;
+``em_fit``'s last pass, of the model it returns, also gives the occupancy
+that decides whether the fit collapsed. The kernels sweep a left-to-right
+model (``init_segments`` builds one, ``em_fit`` keeps it) one state at a
+time when the longest sequence has more steps than states; the online
 step, dense models and a step no state explains loop over time. Emission
 densities take one stacked Cholesky and one stacked ``inv`` of the factors
 per call, not cached on the model, which ``em_fit`` updates in place.
@@ -140,23 +140,33 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def forward(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray:
-    """(T, N) normalized forward variable of an observed latent sequence;
-    each row sums to 1."""
-    log_lik = state_log_liks(hmm, obs, block)
-    log_alpha, log_norm = _kernels.forward_log(
-        log_lik[None], _safe_log(hmm.pi), _safe_log(hmm.trans)
-    )
-    _raise_on_collapse(log_norm)
-    return np.exp(log_alpha[0])
+def _padding(lengths, rows: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, T) mask of the real steps of sequences of ``lengths`` padded at the
+    end to the longest, and (S, T, N) zero log-likelihoods to fill at it;
+    ValueError unless the lengths are positive integers summing to ``rows``."""
+    lengths = np.asarray(lengths)
+    if not (lengths.ndim == 1 and np.issubdtype(lengths.dtype, np.integer)
+            and (lengths > 0).all() and lengths.sum() == rows):
+        raise ValueError(f"lengths {lengths.tolist()} do not split {rows} rows into sequences")
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    return mask, np.zeros(mask.shape + (n_states,))
 
 
-def _raise_on_collapse(log_norm: np.ndarray, mask: np.ndarray | None = None) -> None:
+def forward(hmm: Hmm, obs: np.ndarray, block: str = "full", lengths=None) -> np.ndarray:
+    """(T, N) normalized forward variable of the rows of consecutive observed
+    latent sequences of ``lengths`` (None: one sequence), restarted at each,
+    as one padded pass; each row sums to 1."""
+    mask, log_lik = _padding([len(obs)] if lengths is None else lengths, len(obs), hmm.n_states)
+    log_lik[mask] = state_log_liks(hmm, obs, block)
+    log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), _safe_log(hmm.trans))
+    _raise_on_collapse(log_norm, mask)
+    return np.exp(log_alpha[mask])
+
+
+def _raise_on_collapse(log_norm: np.ndarray, mask: np.ndarray) -> None:
     """NumericalError naming the first collapsed step of the first sequence
     that has one; ``mask`` leaves padding steps out."""
-    collapsed = ~np.isfinite(log_norm)
-    if mask is not None:
-        collapsed &= mask
+    collapsed = ~np.isfinite(log_norm) & mask
     if collapsed.any():
         s = int(np.argmax(collapsed.any(axis=1)))
         t = int(np.argmax(collapsed[s]))
@@ -265,11 +275,9 @@ def em_fit(
         raise ValueError("need at least one sequence of length >= 2")
     hmm = Hmm(init.pi.copy(), init.trans.copy(), init.means.copy(), init.covs.copy(), init.d_z)
     N = hmm.n_states
-    # sequences padded to the longest; padding steps keep zero log-likelihood
     stacked = np.concatenate(sequences, axis=0)
     lengths = np.array([s.shape[0] for s in sequences])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    log_lik = np.zeros(mask.shape + (N,))
+    mask, log_lik = _padding(lengths, len(stacked), N)
     trace = []
     prev_ll = -np.inf
     for it in range(max_iters + 1):

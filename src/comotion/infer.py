@@ -29,7 +29,7 @@ The step passes plain arrays and computes each quantity once: the encoder's
 step and the gate's reach-state test read, and the conditional mean of
 ``gmr_condition``; the mixture covariance, which nothing here reads, is
 never formed. ``conditional_predictions`` runs the same encode, forward and
-conditioning over a whole trajectory at once.
+conditioning over whole trajectories at once.
 """
 
 from __future__ import annotations
@@ -91,9 +91,16 @@ def reactive_step(
     Once the gate has fired, a finite ``hand_pos`` and a ``chain`` make the
     command the one local IK solve from the decoded prediction, pulled toward
     it; see the module docstring for why it takes no restarts.
+    ``smooth_weights``, oldest first, average the latest commands; they must
+    be finite and non-negative, the last > 0, else ValueError.
     """
     if interaction not in bundle.hmms:
         raise ConfigError(f"unknown interaction {interaction!r}")
+    if smooth_weights is not None:
+        w = smooth_weights = np.asarray(smooth_weights, dtype=np.float64)
+        if not (w.ndim == 1 and w.size and np.isfinite(w).all() and (w >= 0).all() and w[-1] > 0):
+            raise ValueError(f"smooth_weights {w.tolist()} must be a non-empty 1-D array of "
+                             "finite, non-negative weights, the last > 0")
     hmm, tsm = bundle.hmms[interaction]
     v_h: Vae = bundle.human_vae
     v_r: Vae = bundle.robot_vae
@@ -121,7 +128,7 @@ def reactive_step(
     buffer = state.buffer
     if smooth_weights is not None:
         buffer = (buffer + [q_cmd])[-len(smooth_weights) :]
-        w = np.asarray(smooth_weights, dtype=np.float64)[-len(buffer) :]
+        w = smooth_weights[-len(buffer) :]
         q_cmd = (w[:, None] * np.asarray(buffer)).sum(axis=0) / w.sum()
     out = StepOutput(q_cmd, fired, alpha_t, latent_mean, **ik)
     return out, ReactiveState(log_alpha, fired, buffer, state.t + 1, q_cmd)
@@ -161,16 +168,21 @@ def rollout(
     """Fold ``reactive_step`` over a full observed trajectory.
 
     h_frames: (T, 9) raw positions; output length is T - w + 1. Optional
-    hand_positions (T, 3) supply the IK target at each source frame.
+    hand_positions (T, 3) supply the IK target at each source frame; another
+    shape is a ValueError, raised before the first step.
     """
     w = bundle.config.window
-    windows = window_features(np.asarray(h_frames, dtype=np.float64), w, "positions")
+    h_frames = np.asarray(h_frames, dtype=np.float64)
+    if hand_positions is not None:
+        hand_positions = np.asarray(hand_positions, dtype=np.float64)
+        if hand_positions.shape != (len(h_frames), 3):
+            raise ValueError(f"hand_positions of shape {hand_positions.shape}, "
+                             f"expected ({len(h_frames)}, 3), one row per frame")
+    windows = window_features(h_frames, w, "positions")
     state = ReactiveState()
     outs = []
     for t in range(windows.shape[0]):
-        hand = None
-        if hand_positions is not None:
-            hand = np.asarray(hand_positions, dtype=np.float64)[t + w - 1]
+        hand = None if hand_positions is None else hand_positions[t + w - 1]
         out, state = reactive_step(
             bundle, interaction, windows[t], hand, chain, state, smooth_weights
         )
@@ -197,15 +209,31 @@ def conditional_predictions(
     hmm: Hmm,
     x_h_windows: np.ndarray,
     variant: Variant,
+    lengths=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched test-time conditional path for whole-trajectory evaluation.
+    """Batched test-time conditional path for whole trajectories.
 
-    Encodes every h window, runs the observed forward recursion on the h
-    marginal of the posterior means, conditions per timestep (respecting
-    the variant's use of the posterior covariance) and decodes the
-    conditional means. Returns (predictions (B, D_r), alpha (B, N)).
+    Encodes every h window, runs the observed forward recursion of each of
+    the trajectories of ``lengths`` (None: one) on the h marginal of the
+    posterior means, conditions per timestep (respecting the variant's use of
+    the posterior covariance) and decodes the conditional means.
+    Returns (predictions (B, D_r), alpha (B, N)).
     """
     mu, var, _, _ = encode_batch(v_h, x_h_windows)
-    alpha = forward(hmm, mu, "h")
+    alpha = forward(hmm, mu, "h", lengths)
     post_var = var if variant.uses_cov else None
     return decode(v_r, conditional_means(hmm, mu, post_var, alpha)), alpha
+
+
+def predict_trajectories(v_h: Vae, v_r: Vae, hmms: dict, trajectories: list, variant: Variant):
+    """Each (label, h windows) trajectory's (predictions, alpha), in the
+    order given, from one ``conditional_predictions`` call per interaction."""
+    out = {}
+    for label in dict.fromkeys(label for label, _ in trajectories):
+        idx = [i for i, (other, _) in enumerate(trajectories) if other == label]
+        lengths = [len(trajectories[i][1]) for i in idx]
+        windows = np.concatenate([trajectories[i][1] for i in idx])
+        pred, alpha = conditional_predictions(v_h, v_r, hmms[label][0], windows, variant, lengths)
+        cuts = np.cumsum(lengths)[:-1]
+        out.update(zip(idx, zip(np.split(pred, cuts), np.split(alpha, cuts))))
+    return [out[i] for i in range(len(trajectories))]

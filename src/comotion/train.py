@@ -50,7 +50,7 @@ from comotion.hmm import (
     forward_unobserved,
     init_segments,
 )
-from comotion.infer import conditional_predictions
+from comotion.infer import predict_trajectories
 from comotion.net import AdamState, adam_step
 from comotion.vae import (
     PriorPack,
@@ -185,11 +185,8 @@ def _initial_hmm(n_states: int, d_z: int) -> Hmm:
 def _validation_mse(v_h, v_r, hmms, val: list[_TrajFeatures], variant: Variant) -> float:
     if not val:
         return float("nan")
-    errs = []
-    for f in val:
-        pred, _ = conditional_predictions(v_h, v_r, hmms[f.label][0], f.x_h, variant)
-        errs.append(float(np.mean((pred - f.x_r) ** 2)))
-    return float(np.mean(errs))
+    preds = predict_trajectories(v_h, v_r, hmms, [(f.label, f.x_h) for f in val], variant)
+    return float(np.mean([np.mean((pred - f.x_r) ** 2) for f, (pred, _) in zip(val, preds)]))
 
 
 def _refit_hmms(v_h, v_r, fit, config, rng) -> dict[str, tuple[Hmm, None]]:
@@ -392,16 +389,15 @@ def fit_transition_states(
         if tsm is None:
             continue
         reach, contact = sorted(tsm.reach_states), sorted(tsm.contact_states)
-        points = [np.empty((0, hmm_c.d_z))]
-        for f in feats:
-            if f.label != label:
-                continue
-            mu_h, _, _, _ = encode_batch(bundle.human_vae, f.x_h)
-            mu_r, _, _, _ = encode_batch(bundle.robot_vae, f.x_r)
-            i_h = np.argmax(forward(hmm_c, mu_h, "h"), axis=1)
-            i_j = np.argmax(forward(hmm_c, np.hstack([mu_h, mu_r]), "full"), axis=1)
-            points.append(mu_h[np.isin(i_h, reach) & np.isin(i_j, contact)])
-        pts = np.concatenate(points)
+        mine = [f for f in feats if f.label == label]
+        pts = np.empty((0, hmm_c.d_z))
+        if mine:
+            lengths = [len(f.x_h) for f in mine]
+            mu_h, _, _, _ = encode_batch(bundle.human_vae, np.concatenate([f.x_h for f in mine]))
+            mu_r, _, _, _ = encode_batch(bundle.robot_vae, np.concatenate([f.x_r for f in mine]))
+            i_h = np.argmax(forward(hmm_c, mu_h, "h", lengths), axis=1)
+            i_j = np.argmax(forward(hmm_c, np.hstack([mu_h, mu_r]), "full", lengths), axis=1)
+            pts = mu_h[np.isin(i_h, reach) & np.isin(i_j, contact)]
         if len(pts):
             gate = Gaussian(*fit_gaussian(pts))
         else:

@@ -449,6 +449,7 @@ def test_cli_loads_no_scipy_until_the_rank_test_runs():
         "import sys, comotion.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('comotion.')))\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print('multiprocessing' in sys.modules)\n"
         "from comotion.evaluate import mann_whitney_u\n"
         "mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.5])\n"
         "print('scipy.stats' in sys.modules)\n"
@@ -456,8 +457,9 @@ def test_cli_loads_no_scipy_until_the_rank_test_runs():
     path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    modules, scipy_modules, stats_loaded = run.stdout.splitlines()
+    modules, scipy_modules, pool_loaded, stats_loaded = run.stdout.splitlines()
     every = sorted(f"comotion.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
     assert modules == repr(every)
     assert scipy_modules == "[]"
+    assert pool_loaded == "False"  # the process pool loads only for threads > 1
     assert stats_loaded == "True"

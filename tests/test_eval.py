@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import PermutationMethod, mannwhitneyu, rankdata
 
-from comotion import evaluate
+from comotion import evaluate, infer
 from comotion.cli import main
 from comotion.errors import ConfigError, NumericalError
 from comotion.evaluate import (
@@ -232,15 +232,17 @@ def test_run_experiment_on_malformed_config_file_is_config_error(tmp_path, text)
         run_experiment(path, tmp_path / "out")
 
 
-def test_run_experiment_predicts_each_test_trajectory_once(tmp_path, monkeypatch):
-    """Scoring and the dumps share one prediction per test trajectory,
-    variant and seed."""
+def test_run_experiment_predicts_each_interaction_once(tmp_path, monkeypatch):
+    """Scoring makes one prediction per interaction, variant and seed, on
+    that interaction's stacked test trajectories, and the dumps and rows
+    still come one per test trajectory (with no validation slice, training
+    predicts nothing)."""
+    interactions = [{"name": "greet", "n_traj": 8, "length": 30, "noise": 0.05},
+                    {"name": "wave", "n_traj": 5, "length": 34, "noise": 0.05}]
     config = {
-        "dataset": {
-            "synth": {"interactions": [{"name": "greet", "n_traj": 5, "length": 30, "noise": 0.05}]},
-            "seed": 0,
-        },
-        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2},
+        "dataset": {"synth": {"interactions": interactions}, "seed": 0},
+        "train": {"epochs": 1, "n_states": 3, "d_z": 2, "hidden": [4], "mc_samples": 2,
+                  "val_fraction": 0},
         "variants": ["v1", "v3.2"],
         "seeds": [0, 1],
     }
@@ -250,12 +252,15 @@ def test_run_experiment_predicts_each_test_trajectory_once(tmp_path, monkeypatch
         calls.append(args)
         return conditional_predictions(*args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "conditional_predictions", counting)
+    monkeypatch.setattr(infer, "conditional_predictions", counting)
     report = run_experiment(config, tmp_path)
-    n_test = parse_experiment(config).dataset.assignment.count("test")
-    assert n_test >= 1
-    assert len(calls) == n_test * 2 * 2 == len(report.rows)
-    assert len(list((tmp_path / "dumps").rglob("*_pred.npy"))) == len(calls)
+    dataset = parse_experiment(config).dataset
+    tests = [p for p, a in zip(dataset.pairs, dataset.assignment) if a == "test"]
+    assert [p.label for p in tests] == ["greet", "greet", "wave"]
+    assert len(calls) == 2 * 2 * 2
+    assert sorted(len(args[3]) for args in calls) == [30] * 4 + [2 * 26] * 4
+    assert len(report.rows) == len(tests) * 2 * 2
+    assert len(list((tmp_path / "dumps").rglob("*_pred.npy"))) == len(report.rows)
 
 
 def test_numerical_error_in_train_hhi_carries_the_stage_prefix(tmp_path, monkeypatch):

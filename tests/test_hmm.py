@@ -124,6 +124,70 @@ def test_forward_collapse_names_timestep():
         forward(h, 1e200 * np.ones((3, 2)))
 
 
+def test_forward_collapse_names_the_timestep_within_its_sequence():
+    rng = np.random.default_rng(12)
+    h = random_hmm(rng, 3, 1)
+    obs = rng.standard_normal((9, 2))
+    obs[6] = 1e200  # step 2 of the second sequence, of lengths 4 and 5
+    with pytest.raises(NumericalError, match="timestep 2$"):
+        forward(h, obs, "full", [4, 5])
+
+
+def left_to_right_hmm(rng, n_states, d_z):
+    """A random model whose transitions never lead to a lower state."""
+    h = random_hmm(rng, n_states, d_z)
+    trans = np.triu(rng.uniform(0.1, 1.0, (n_states, n_states)))
+    h.trans = trans / trans.sum(axis=1, keepdims=True)
+    return h
+
+
+def split_rows(obs, lengths):
+    return np.split(obs, np.cumsum(lengths)[:-1])
+
+
+@pytest.mark.parametrize("block", ["full", "h", "r"])
+@pytest.mark.parametrize("model", [random_hmm, left_to_right_hmm])
+def test_padded_forward_is_bit_equal_to_per_sequence_forward(block, model):
+    """Ragged sequences, all longer than the number of states, give each
+    sequence's own forward variable bit for bit, whether the pass loops over
+    time (dense model) or sweeps the states (left-to-right model)."""
+    rng = np.random.default_rng(13)
+    h = model(rng, 6, 2)
+    lengths = [66, 40, 13]
+    obs = rng.standard_normal((sum(lengths), 4 if block == "full" else 2))
+    expected = [forward(h, seq, block) for seq in split_rows(obs, lengths)]
+    np.testing.assert_array_equal(forward(h, obs, block, lengths), np.concatenate(expected))
+    np.testing.assert_array_equal(forward(h, obs, block, np.array(lengths)), np.concatenate(expected))
+
+
+def test_a_short_sequence_padded_in_with_longer_ones_is_swept(monkeypatch):
+    """A sequence of no more steps than states, on its own, takes the time
+    loop; padded in with a longer one, it is swept with it and agrees with
+    its own pass to the sweep's rounding bound (``_kernels`` docstring)."""
+    rng = np.random.default_rng(14)
+    h = left_to_right_hmm(rng, 6, 2)
+    lengths = [66, 6, 3]
+    obs = rng.standard_normal((sum(lengths), 4))
+    swept = []
+    sweep = _kernels._forward_sweep
+    monkeypatch.setattr(_kernels, "_forward_sweep",
+                        lambda log_lik, *rest: swept.append(log_lik.shape) or sweep(log_lik, *rest))
+    got = split_rows(forward(h, obs, "full", lengths), lengths)
+    assert swept == [(3, 66, 6)]
+    for seq, alpha in zip(split_rows(obs, lengths)[1:], got[1:]):
+        np.testing.assert_allclose(alpha, forward(h, seq), rtol=0, atol=1e-10)
+    assert swept == [(3, 66, 6)]  # the short sequences alone loop over time
+    np.testing.assert_array_equal(got[0], forward(h, obs[:66]))
+
+
+@pytest.mark.parametrize("lengths", [[10, 9], [10, 0, 10], [-1, 21], [], [[20]], [10.0, 10.0]])
+def test_forward_rejects_lengths_that_do_not_split_the_rows(lengths):
+    rng = np.random.default_rng(15)
+    h = random_hmm(rng, 3, 1)
+    with pytest.raises(ValueError, match="lengths"):
+        forward(h, rng.standard_normal((20, 2)), "full", lengths)
+
+
 def test_forward_unobserved_initialization():
     rng = np.random.default_rng(4)
     h = random_hmm(rng, 3, 1)

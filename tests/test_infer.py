@@ -9,6 +9,7 @@ from comotion.data import (
     synth_generate,
     window_features,
 )
+from comotion import infer
 from comotion.errors import ConfigError
 from comotion.gauss import Gaussian, log_pdf
 from comotion.hmm import TransitionStateModel
@@ -322,7 +323,7 @@ def smooth(trajectory: np.ndarray, weights) -> np.ndarray:
     return out[:, 0] if traj.ndim == 1 else out
 
 
-@pytest.mark.parametrize("weights", [[0.1, 0.2, 0.3, 0.4], [1.0, 3.0], [2.0]])
+@pytest.mark.parametrize("weights", [[0.1, 0.2, 0.3, 0.4], [1.0, 3.0], [2.0], [0.0, 1.0]])
 def test_rollout_online_smoothing_matches_offline_filter(dataset, trained, weights):
     """``reactive_step``'s smoothing buffer filters the commands as the
     offline causal filter does, startup transient included (gate off)."""
@@ -361,3 +362,33 @@ def test_smooth_startup_renormalizes_prefix():
 def test_smooth_rejects_empty_weights():
     with pytest.raises(ValueError):
         smooth(np.zeros((3, 2)), [])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0, 0.0], [1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, 0.0], [], [[1.0, 2.0]]],
+    ids=["zero-sum", "negative", "nan", "inf", "last-zero", "empty", "2-d"],
+)
+def test_rollout_rejects_smooth_weights_before_any_step(dataset, trained, monkeypatch, weights):
+    """Weights that could make a command non-finite (a zero or negative
+    trailing sum, a non-finite weight) or that do not form a filter are a
+    ValueError naming them, raised before the first window is encoded."""
+    encoded = []
+    monkeypatch.setattr(infer, "encode_batch", lambda *a: encoded.append(a) or encode_batch(*a))
+    pair = dataset.subset("test")[0]
+    with pytest.raises(ValueError, match="smooth_weights"):
+        rollout(trained, "greet", pair.h_frames, smooth_weights=np.array(weights))
+    assert not encoded
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (69, 3), (71, 3), (70, 2), (70,)])
+def test_rollout_rejects_hand_positions_of_the_wrong_shape_before_any_step(
+    dataset, forced, monkeypatch, shape
+):
+    steps = []
+    monkeypatch.setattr(infer, "reactive_step", lambda *a: steps.append(a))
+    pair = dataset.subset("test")[0]
+    assert pair.h_frames.shape[0] == 70
+    with pytest.raises(ValueError, match="hand_positions"):
+        rollout(forced, "greet", pair.h_frames, default_arm_chain(), np.zeros(shape))
+    assert not steps

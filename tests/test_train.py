@@ -4,15 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from comotion.data import SynthInteraction, SynthSpec, split, synth_generate
+from comotion.data import Dataset, SynthInteraction, SynthSpec, pair_features, split, synth_generate
 from comotion.errors import ConfigError
+from comotion.evaluate import evaluate_bundle, mse
 from comotion.gauss import Gaussian
-from comotion.hmm import Hmm, TransitionStateModel, forward_unobserved
+from comotion.hmm import Hmm, TransitionStateModel, fit_gaussian, forward, forward_unobserved
+from comotion.infer import conditional_predictions
 from comotion.train import (
     ModelBundle,
     TrainConfig,
+    _featurize,
+    _fit_val_split,
     _initial_hmm,
     _refit_hmms,
+    _validation_mse,
     fit_transition_states,
     load_bundle,
     save_bundle,
@@ -20,7 +25,7 @@ from comotion.train import (
     train_hri,
     write_trace,
 )
-from comotion.vae import Variant
+from comotion.vae import Variant, encode_batch
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +300,108 @@ def test_single_flipped_boundary_step_becomes_gate_mean():
     assert gate is not None
     np.testing.assert_allclose(gate.mean, [1.5], atol=1e-12)
     np.linalg.cholesky(gate.cov)
+
+
+# ---------------------------------------------------------------------------
+# whole-split passes against per-trajectory references
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def two_labels():
+    """A stage-two bundle over two interactions whose trajectories alternate
+    in the dataset and differ in length within each interaction."""
+    spec = SynthSpec((SynthInteraction("greet", 8, 48, 0.05), SynthInteraction("wave", 8, 48, 0.05)))
+    ds = synth_generate(spec, np.random.default_rng(21))
+    pairs = [p for both in zip(ds.pairs[:8], ds.pairs[8:]) for p in both]
+    pairs = [replace(p, h_frames=p.h_frames[: 30 + j], r_frames=p.r_frames[: 30 + j])
+             for j, p in enumerate(pairs)]
+    ds = split(Dataset(pairs), 0.75, seed=0)
+    cfg = TrainConfig(epochs=2, n_states=4, hidden=(8,), val_fraction=0.4, variant="v3.2")
+    hhi = train_hhi(ds, cfg, seed=0)
+    return ds, train_hri(ds, hhi, cfg, seed=0)
+
+
+# The callers below stack each interaction's trajectories into one encode,
+# forward pass and decode. The padded forward pass is bit-equal to one pass
+# per trajectory (tests/test_hmm.py), but a BLAS may round a matmul's rows
+# differently with the number of rows: OpenBLAS's small-matrix kernels, on
+# an AVX-512 host, move encoder outputs by up to ~3e-15 between one
+# trajectory's rows and the same rows stacked with others. So the references
+# here agree to 1e-12, not bit for bit; at the benchmark's shape the two
+# paths happen to be bit-identical.
+TOL = 1e-12
+
+
+def reference_predictions(bundle, label, x_h):
+    """The path of one trajectory at a time."""
+    return conditional_predictions(bundle.human_vae, bundle.robot_vae, bundle.hmms[label][0], x_h,
+                                   bundle.config.variant)
+
+
+def test_evaluate_bundle_equals_a_per_trajectory_reference(two_labels, tmp_path):
+    ds, bundle = two_labels
+    w = bundle.config.window
+    expected = []
+    for i, (pair, assign) in enumerate(zip(ds.pairs, ds.assignment)):
+        if assign == "test":
+            x_h, x_r = pair_features(pair, w)
+            pred, alpha = reference_predictions(bundle, pair.label, x_h)
+            n_r = x_r.shape[1] // w
+            expected.append((pair.label, i, mse(pred, x_r), mse(pred[:, -n_r:], x_r[:, -n_r:]),
+                             pred, alpha))
+    assert {row[0] for row in expected} == {"greet", "wave"}
+    assert len({len(row[4]) for row in expected}) == len(expected)
+    got = evaluate_bundle(bundle, ds, tmp_path)
+    assert [row[:2] for row in got] == [row[:2] for row in expected]
+    np.testing.assert_allclose([row[2:] for row in got], [row[2:4] for row in expected],
+                               rtol=TOL, atol=0)
+    for label, i, _, _, pred, alpha in expected:
+        np.testing.assert_allclose(np.load(tmp_path / f"traj{i:03d}_pred.npy"), pred,
+                                   rtol=0, atol=TOL)
+        dumped = np.loadtxt(tmp_path / f"traj{i:03d}_alpha.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(dumped[:, 1:], alpha, rtol=0, atol=TOL)
+
+
+def test_validation_mse_equals_a_per_trajectory_reference(two_labels):
+    ds, bundle = two_labels
+    cfg = bundle.config
+    _, val = _fit_val_split(_featurize(ds.subset("train"), cfg.window), cfg.val_fraction, 0)
+    assert [f.label for f in val].count("greet") == [f.label for f in val].count("wave") == 2
+    expected = float(np.mean([
+        float(np.mean((reference_predictions(bundle, f.label, f.x_h)[0] - f.x_r) ** 2))
+        for f in val
+    ]))
+    got = _validation_mse(bundle.human_vae, bundle.robot_vae, bundle.hmms, val, cfg.variant)
+    assert got == bundle.trace[-1]["val_mse"]
+    assert got == pytest.approx(expected, rel=TOL, abs=0)
+
+
+def test_fit_transition_states_equals_a_per_trajectory_reference(two_labels):
+    ds, bundle = two_labels
+    state_sets = {"greet": ([2, 3], [0, 1]), "wave": ([1, 2], [0])}
+    out = fit_transition_states(bundle, ds, state_sets)
+    fitted = 0
+    for label, (contact, reach) in state_sets.items():
+        hmm = bundle.hmms[label][0]
+        points = [np.empty((0, hmm.d_z))]
+        for f in _featurize(ds.subset("train"), bundle.config.window):
+            if f.label == label:
+                mu_h = encode_batch(bundle.human_vae, f.x_h)[0]
+                mu_r = encode_batch(bundle.robot_vae, f.x_r)[0]
+                i_h = forward(hmm, mu_h, "h").argmax(axis=1)
+                i_j = forward(hmm, np.hstack([mu_h, mu_r])).argmax(axis=1)
+                points.append(mu_h[np.isin(i_h, reach) & np.isin(i_j, contact)])
+        points = np.concatenate(points)
+        gate = out.hmms[label][1].gate
+        if len(points):
+            fitted += 1
+            mean, cov = fit_gaussian(points)
+            np.testing.assert_allclose(gate.mean, mean, rtol=0, atol=TOL)
+            np.testing.assert_allclose(gate.cov, cov, rtol=0, atol=TOL)
+        else:
+            assert gate is None
+    assert fitted
 
 
 # ---------------------------------------------------------------------------
