@@ -50,25 +50,23 @@ gap is a few 1e-10; on 66 steps at the benchmark's size, ~1e-12.
 ``log_trans``), N^2 pairs for a dense model and fewer for a sparse one.
 
 The Gaussian log-density takes the inverse L^-1 of the lower Cholesky
-factor (``state_log_liks`` inverts all states' factors at once): one
-matmul, one ``einsum`` and log det = -2 sum log diag(L^-1). At 594 rows it
-takes half the time of LAPACK's ``trtrs`` solve, at one row the same; like
-the solve, it is within ~3e-15 relative of scipy's density. Not importing
+factor and the log-normalizer -0.5 (log det + d log 2 pi), with log det =
+-2 sum log diag(L^-1), both computed once per fitted model (``Hmm`` and
+``Gaussian`` keep them); each call is one matmul and one ``einsum``. At
+594 rows it takes half the time of LAPACK's ``trtrs`` solve; like the
+solve, it is within ~3e-15 relative of scipy's density. Not importing
 scipy.linalg saves ~22 MB of resident memory and half the CLI's import time.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 # Always False: every kernel is plain numpy. Kept because the benchmark
 # records this flag in the metadata of each run.
 USE_NUMBA = False
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def predict_log(log_alpha: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
@@ -226,10 +224,9 @@ def xi_counts(
     return counts
 
 
-def chol_logpdf(x: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
-    """log N(x; mean, L L^T) for each row of x, given the inverse L^-1 of the
-    lower Cholesky factor; an inf or nan in x, mean or L^-1 is a ValueError."""
-    d = mean.shape[0]
+def chol_logpdf(x: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray, log_norm) -> np.ndarray:
+    """log N(x; mean, L L^T) for each row of x, given L^-1 and the log-normalizer
+    of ``gauss.inverse_factors``; an inf or nan in x, mean or L^-1 is a ValueError."""
     diff = x - mean
     if not (np.isfinite(diff).all() and np.isfinite(chol_inv).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -237,6 +234,5 @@ def chol_logpdf(x: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray) -> np.nda
     # the forward recursion reports as a collapse at its timestep
     with np.errstate(over="ignore"):
         y = diff @ chol_inv.T
-    maha = np.einsum("ij,ij->i", y, y)
-    logdet = -2.0 * np.log(chol_inv.diagonal()).sum()
-    return -0.5 * (maha + (logdet + d * _LOG_2PI))
+    # halving is exact, so this is -0.5 (maha + (log det + d log 2 pi)) bit for bit
+    return log_norm - 0.5 * np.einsum("ij,ij->i", y, y)

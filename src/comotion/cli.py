@@ -139,10 +139,16 @@ def cmd_ik_demo(args) -> int:
         raise ConfigError(f"--prior has {mu_q.size} values; the chain has {chain.n_joints} joints")
     _finite_arg("--lambda-x", args.lambda_x, non_negative=True)
     _finite_arg("--lambda-q", args.lambda_q, non_negative=True)
-    base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
+    try:
+        base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
+        sol = ik_with_prior(chain, target, mu_q, args.lambda_x, args.lambda_q)
+    except ValueError as exc:  # a value out of range for IK, named by its argument
+        arg, _, rest = str(exc).partition(" ")
+        flag = {"x_target": "--target", "mu_q": "--prior", "lambda_x": "--lambda-x",
+                "lambda_q": "--lambda-q"}.get(arg, arg)
+        raise ConfigError(f"{flag} {rest}") from None
     print(f"baseline IK: q={np.round(base.q, 4).tolist()} residual={base.residual:.2e} "
           f"iters={base.iterations} converged={base.converged}")
-    sol = ik_with_prior(chain, target, mu_q, args.lambda_x, args.lambda_q)
     print(f"prior IK:    q={np.round(sol.q, 4).tolist()} residual={sol.residual:.2e} "
           f"iters={sol.iterations} converged={sol.converged}")
     print(f"prior fk: {np.round(fk(chain, sol.q), 4).tolist()} target: {target.tolist()}")

@@ -5,17 +5,21 @@ carries the one stored distribution that is not part of a model's
 parameter arrays, the contact gate's transition-state density, and
 ``log_pdf`` evaluates it. ``regularize_spd`` repairs fitted covariances.
 All density arithmetic goes through Cholesky factors and stays in log
-space.
+space; ``Gaussian``, like ``Hmm``, keeps its ``inverse_factors``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from comotion._kernels import chol_logpdf
 from comotion.errors import NumericalError
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -32,6 +36,20 @@ def cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
         raise NumericalError("covariance not positive definite") from None
 
 
+def inverse_factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only inverse lower Cholesky factors L^-1 of ``covs`` (..., d, d) and
+    log-normalizers -0.5 (log det + d log 2 pi); NumericalError unless SPD."""
+    chol_invs = np.linalg.inv(cholesky_or_raise(covs))
+    logdet = -2.0 * np.log(np.diagonal(chol_invs, axis1=-2, axis2=-1)).sum(axis=-1)
+    return read_only(chol_invs), read_only(-0.5 * (logdet + covs.shape[-1] * _LOG_2PI))
+
+
+def read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Immutable Gaussian with mean and full covariance."""
@@ -40,8 +58,8 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        cov = _as_matrix(self.cov)
+        mean = read_only(np.asarray(self.mean).reshape(-1))
+        cov = read_only(_as_matrix(self.cov))
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean dim {mean.shape[0]} does not match cov dim {cov.shape[0]}"
@@ -52,6 +70,11 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``inverse_factors`` of the covariance, computed on first use."""
+        return inverse_factors(self.cov)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
@@ -95,9 +118,8 @@ def regularize_spd(m: np.ndarray, *, flat: bool = True) -> np.ndarray:
 
 
 def log_pdf(g: Gaussian, x) -> float:
-    """log N(x; mean, cov) via the Cholesky factor of cov."""
+    """log N(x; mean, cov) via the Gaussian's cached inverse Cholesky factor."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != g.dim:
         raise ValueError(f"point dim {x.shape[0]} != Gaussian dim {g.dim}")
-    chol_inv = np.linalg.inv(cholesky_or_raise(g.cov))
-    return float(chol_logpdf(x[None, :], g.mean, chol_inv)[0])
+    return float(chol_logpdf(x[None, :], g.mean, *g.factors)[0])

@@ -23,9 +23,10 @@ one pass, padded by one helper to the longest with log-likelihood 0;
 that decides whether the fit collapsed. The kernels sweep a left-to-right
 model (``init_segments`` builds one, ``em_fit`` keeps it) one state at a
 time when the longest sequence has more steps than states; the online
-step, dense models and a step no state explains loop over time. Emission
-densities take one stacked Cholesky and one stacked ``inv`` of the factors
-per call, not cached on the model, which ``em_fit`` updates in place.
+step, dense models and a step no state explains loop over time. A model
+is never edited (its arrays are read-only; ``em_fit`` builds a new one at
+each M-step), so it computes log pi, log trans and each block's inverse
+Cholesky factors and log-normalizers once, on first use, and keeps them.
 Mixture conditioning is batched, with a single step as a batch of one.
 One helper, ``_gain_solve``, builds each state's h-block covariance (plus
 the posterior variance when given), solves it and turns a singular solve
@@ -41,21 +42,22 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from comotion import _kernels
 from comotion.errors import NumericalError
-from comotion.gauss import Gaussian, cholesky_or_raise, log_pdf, regularize_spd
+from comotion.gauss import Gaussian, inverse_factors, log_pdf, read_only, regularize_spd
 
 log = logging.getLogger(__name__)
 
 BLOCKS = ("full", "h", "r")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hmm:
-    """pi, transition matrix and N joint Gaussian components split at d_z."""
+    """pi, transition matrix and N joint Gaussian components split at d_z; read-only."""
 
     pi: np.ndarray
     trans: np.ndarray
@@ -64,10 +66,8 @@ class Hmm:
     d_z: int
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.trans = np.asarray(self.trans, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.covs = np.asarray(self.covs, dtype=np.float64)
+        for name in ("pi", "trans", "means", "covs"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def n_states(self) -> int:
@@ -89,6 +89,19 @@ class Hmm:
     def block_params(self, block: str) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._block_range(block)
         return self.means[:, lo:hi], self.covs[:, lo:hi, lo:hi]
+
+    @cached_property
+    def log_params(self) -> tuple[np.ndarray, np.ndarray]:
+        """log pi and log trans, -inf at 0, computed on first use."""
+        with np.errstate(divide="ignore"):
+            return read_only(np.log(self.pi)), read_only(np.log(self.trans))
+
+    def factors(self, block: str) -> tuple[np.ndarray, np.ndarray]:
+        """``inverse_factors`` of the states' ``block`` covariances, kept from first use."""
+        kept = self.__dict__.setdefault("_factors", {})
+        if block not in kept:
+            kept[block] = inverse_factors(self.block_params(block)[1])
+        return kept[block]
 
     def to_dict(self) -> dict:
         return {
@@ -122,22 +135,17 @@ class Hmm:
 def state_log_liks(hmm: Hmm, obs: np.ndarray, block: str = "full") -> np.ndarray:
     """(T, N) log emission likelihoods of obs rows under each state."""
     obs = np.ascontiguousarray(obs, dtype=np.float64)
-    means, covs = hmm.block_params(block)
+    means = hmm.block_params(block)[0]
     if obs.ndim != 2 or obs.shape[1] != means.shape[1]:
         raise ValueError(
             f"observations of width {obs.shape[-1]} do not match block "
             f"{block!r} of width {means.shape[1]}"
         )
-    chol_invs = np.linalg.inv(cholesky_or_raise(covs))  # stacked, (N, d, d)
+    chol_invs, log_norms = hmm.factors(block)
     out = np.empty((obs.shape[0], hmm.n_states))
     for i in range(hmm.n_states):
-        out[:, i] = _kernels.chol_logpdf(obs, means[i], chol_invs[i])
+        out[:, i] = _kernels.chol_logpdf(obs, means[i], chol_invs[i], log_norms[i])
     return out
-
-
-def _safe_log(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(x)
 
 
 def _padding(lengths, rows: int, n_states: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +166,7 @@ def forward(hmm: Hmm, obs: np.ndarray, block: str = "full", lengths=None) -> np.
     as one padded pass; each row sums to 1."""
     mask, log_lik = _padding([len(obs)] if lengths is None else lengths, len(obs), hmm.n_states)
     log_lik[mask] = state_log_liks(hmm, obs, block)
-    log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), _safe_log(hmm.trans))
+    log_alpha, log_norm = _kernels.forward_log(log_lik, *hmm.log_params)
     _raise_on_collapse(log_norm, mask)
     return np.exp(log_alpha[mask])
 
@@ -184,10 +192,8 @@ def forward_step(
     normalized log state distribution; pass None to start.
     Returns (alpha_t, log_alpha_t).
     """
-    log_trans = _safe_log(hmm.trans)
-    if log_alpha_prev is None:
-        log_prior = _safe_log(hmm.pi)
-    else:
+    log_prior, log_trans = hmm.log_params
+    if log_alpha_prev is not None:
         log_prior = _kernels.predict_log(log_alpha_prev, log_trans)
     log_alpha, log_norm = _kernels.forward_log(log_lik_t[None, None], log_prior, log_trans)
     if not np.isfinite(log_norm[0, 0]):
@@ -201,7 +207,7 @@ def forward_unobserved(hmm: Hmm, horizon: int) -> np.ndarray:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     log_alpha, _ = _kernels.forward_log(
-        np.zeros((1, int(horizon), hmm.n_states)), _safe_log(hmm.pi), _safe_log(hmm.trans)
+        np.zeros((1, int(horizon), hmm.n_states)), *hmm.log_params
     )
     return np.exp(log_alpha[0])
 
@@ -258,7 +264,7 @@ def em_fit(
     max_iters: int = 20,
     tol: float = 1e-4,
 ) -> tuple[Hmm, np.ndarray]:
-    """Baum-Welch on a private copy of ``init``.
+    """Baum-Welch from ``init``, a new model at each M-step.
 
     Returns the fitted model and the per-iteration log-likelihood trace
     (evaluated under the parameters entering each iteration). Convergence is
@@ -273,7 +279,7 @@ def em_fit(
     sequences = [np.ascontiguousarray(s, dtype=np.float64) for s in sequences]
     if not sequences or any(s.shape[0] < 2 for s in sequences):
         raise ValueError("need at least one sequence of length >= 2")
-    hmm = Hmm(init.pi.copy(), init.trans.copy(), init.means.copy(), init.covs.copy(), init.d_z)
+    hmm = init
     N = hmm.n_states
     stacked = np.concatenate(sequences, axis=0)
     lengths = np.array([s.shape[0] for s in sequences])
@@ -281,9 +287,9 @@ def em_fit(
     trace = []
     prev_ll = -np.inf
     for it in range(max_iters + 1):
-        log_trans = _safe_log(hmm.trans)
+        log_pi, log_trans = hmm.log_params
         log_lik[mask] = state_log_liks(hmm, stacked)
-        log_alpha, log_norm = _kernels.forward_log(log_lik, _safe_log(hmm.pi), log_trans)
+        log_alpha, log_norm = _kernels.forward_log(log_lik, log_pi, log_trans)
         _raise_on_collapse(log_norm, mask)
         if it == max_iters:
             break
@@ -304,20 +310,18 @@ def em_fit(
         mean_acc = gammas.T @ stacked
         second_acc = (gammas.T[:, :, None] * stacked).swapaxes(1, 2) @ stacked  # (N, D, D)
 
-        hmm.pi = pi_acc / pi_acc.sum()
         row_sums = xi_acc.sum(axis=1, keepdims=True)
         new_trans = hmm.trans.copy()
         ok = row_sums[:, 0] > 1e-12
         new_trans[ok] = xi_acc[ok] / row_sums[ok]
-        hmm.trans = new_trans
         starving = mass < 1e-8
-        safe_mass = np.where(starving, 1.0, mass)
-        means = mean_acc / safe_mass[:, None]
+        fitted = mean_acc / np.where(starving, 1.0, mass)[:, None]
+        means, covs = np.where(starving[:, None], hmm.means, fitted), hmm.covs.copy()
         for i in np.flatnonzero(~starving):
-            hmm.means[i] = means[i]
-            hmm.covs[i] = regularize_spd(second_acc[i] / mass[i] - np.outer(means[i], means[i]))
+            covs[i] = regularize_spd(second_acc[i] / mass[i] - np.outer(means[i], means[i]))
         if np.any(starving):
-            _reseed_starving(hmm, sequences, np.flatnonzero(starving))
+            _reseed_starving(means, covs, sequences, np.flatnonzero(starving))
+        hmm = Hmm(pi_acc / pi_acc.sum(), new_trans, means, covs, hmm.d_z)
     occ = ((np.exp(log_alpha) * mask[..., None]).sum(axis=1) / lengths[:, None]).mean(axis=0)
     if occ.min() < 1.0 / (10.0 * N):
         log.warning(
@@ -329,16 +333,17 @@ def em_fit(
     return hmm, np.asarray(trace)
 
 
-def _reseed_starving(hmm: Hmm, sequences: list[np.ndarray], which: np.ndarray) -> None:
-    """Reinitialize starved components from the highest-variance segment."""
-    pools = _segment_slices(sequences, hmm.n_states)
+def _reseed_starving(means, covs, sequences: list[np.ndarray], which: np.ndarray) -> None:
+    """Reinitialize the starved components of the next model's ``means`` and
+    ``covs`` from the highest-variance segment."""
+    pools = _segment_slices(sequences, len(means))
     variances = [np.trace(np.cov(p.T)) if p.shape[0] > 1 else 0.0 for p in pools]
     src = int(np.argmax(variances))
     mean, cov = fit_gaussian(pools[src])
     for i in which:
         log.warning("component %d starved; reseeding from segment %d", i, src)
-        hmm.means[i] = mean
-        hmm.covs[i] = cov
+        means[i] = mean
+        covs[i] = cov
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ The step passes plain arrays and computes each quantity once: the encoder's
 (mu, var), one row of h-block emission log-densities that both the forward
 step and the gate's reach-state test read, and the conditional mean of
 ``gmr_condition``; the mixture covariance, which nothing here reads, is
-never formed. ``conditional_predictions`` runs the same encode, forward and
+never formed. What is fixed per fitted model, the emission factors, log pi,
+log trans and the gate's factor, is computed at the first step and kept on
+the model. ``conditional_predictions`` runs the same encode, forward and
 conditioning over whole trajectories at once.
 """
 

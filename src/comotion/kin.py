@@ -8,8 +8,8 @@ the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which comes out of the
 same forward pass as the end effector, batched over configurations; with
 the prior's weight at 0 it is plain damped least squares. Its restarts
 serve ``comotion ik-demo``'s global search over the objective's basins; the
-reactive loop runs the warm start alone. They run as one batch, each round
-advancing every run with masked writes, so no round gathers or scatters.
+reactive loop runs the warm start alone, at 20 Hz. Each start runs its own
+descent, in order; a rejected step only raises the damping and solves again.
 """
 
 from __future__ import annotations
@@ -179,13 +179,7 @@ class IkSolution:
     converged: bool
 
 
-_MAX_STEP = 0.5  # radians; large unconstrained steps jump into limit traps
-
-
-def _cap_step(step: np.ndarray) -> np.ndarray:
-    """Scale each row of ``step`` (B, n) down so no entry exceeds ``_MAX_STEP``."""
-    biggest = np.abs(step).max(axis=1, keepdims=True)
-    return step * (_MAX_STEP / np.maximum(biggest, _MAX_STEP))
+_MAX_STEP = 0.5  # radians, the largest entry of a step; larger ones jump into limit traps
 
 
 def ik_with_prior(
@@ -204,14 +198,18 @@ def ik_with_prior(
     Warm-started at the joint-space prior; accepted steps never increase
     the objective within a run. The objective has distinct basins (elbow
     branches), so deterministic restarts are taken and the lowest objective
-    wins, ties going to the earliest start. The warm start and the restarts
-    are scored by one forward pass and run as one batch (``_prior_search``);
-    a warm start that is already exact is returned with 0 iterations.
-    ``residual`` reports the task-space error of the result and
-    ``iterations`` sums all runs.
+    wins, ties going to the earliest start. The warm start, then each
+    restart, runs its own ``_prior_descent``; a warm start that is already
+    exact is returned with 0 iterations. ``residual`` reports the task-space
+    error of the result and ``iterations`` sums all runs. ValueError when
+    ``restarts`` or ``max_iters`` is negative, ``grad_tol`` is not finite
+    and non-negative, or a start is out of range (see ``_prior_descent``).
     """
-    if not (0.0 <= lambda_x < math.inf and 0.0 <= lambda_q < math.inf):  # a nan fails too
-        raise ValueError(f"lambda weights must be finite and non-negative: {lambda_x}, {lambda_q}")
+    if not all(0.0 <= v < math.inf for v in (lambda_x, lambda_q, grad_tol)):  # a nan fails too
+        raise ValueError(f"lambda weights and grad_tol must be finite and non-negative: "
+                         f"{lambda_x}, {lambda_q}, {grad_tol}")
+    if restarts < 0 or max_iters < 0:
+        raise ValueError(f"restarts {restarts} and max_iters {max_iters} must be non-negative")
     x_target = np.asarray(x_target, dtype=np.float64)
     if x_target.shape != (3,) or not np.all(np.isfinite(x_target)):
         raise ValueError(f"target position must be 3 finite values, got {x_target.tolist()}")
@@ -219,20 +217,16 @@ def ik_with_prior(
     q0 = mu_q if q_init is None else _joint_vector(chain, q_init, "initial joint values")
     if not (np.all(np.isfinite(mu_q)) and np.all(np.isfinite(q0))):
         raise ValueError("joint prior and initial joints must be finite")
-    q = chain.clamp(q0)[None]
-    if restarts:
-        draws = np.random.default_rng(0).uniform(*chain.limits, size=(restarts, chain.n_joints))
-        q = np.vstack([q, draws])
-    obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
-    if obj[0] == 0.0:
-        return IkSolution(q[0], float(np.linalg.norm(rx[0])), 0, True)
-    iters, converged = _prior_search(
-        chain, x_target, mu_q, lambda_x, lambda_q, q, obj, rx, jac, grad_tol, max_iters
-    )
-    best = int(np.argmin(obj))
-    return IkSolution(
-        q[best], float(np.linalg.norm(rx[best])), int(iters.sum()), bool(converged[best])
-    )
+    draws = np.random.default_rng(0).uniform(*chain.limits, (restarts, len(q0))) if restarts else ()
+    runs = []
+    for start in [chain.clamp(q0), *draws]:
+        runs.append(_prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, start[None],
+                                   grad_tol, max_iters))
+        if runs[0][1][0] == 0.0 and runs[0][3] == 0:  # an exact warm start is the answer
+            break
+    q, _, rx, _, converged = min(runs, key=lambda run: run[1][0])  # the first of equals
+    return IkSolution(q[0], float(np.linalg.norm(rx[0])), sum(run[3] for run in runs),
+                      bool(converged))
 
 
 def _prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
@@ -247,78 +241,70 @@ def _prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
 STALL_REL = 1e-7  # a prior-IK run stops once a step gains no more than this share
 
 
-def _prior_search(
-    chain, x_target, mu_q, lambda_x, lambda_q, q, obj, rx, jac, grad_tol, max_iters
-):
-    """Damped Gauss-Newton descents of the prior-IK objective, one from each
-    row of ``q`` (S, n), run in lockstep.
+def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_iters):
+    """Damped Gauss-Newton descent of the prior-IK objective from ``q`` (1, n):
+    the end point (1, n), its objective (1,) and task residual (1, 3), the
+    iteration count and the convergence flag.
 
-    ``obj``, ``rx`` and ``jac`` are the ``_prior_score`` of the starts. The
-    four arrays are updated in place and end as each run's end point,
-    objective, task residual and Jacobian; the Jacobian at an accepted point
-    is the one from the pass that scored it. Returns each run's iteration
-    count and convergence flag.
-
-    Each round advances the whole batch: every row gets its gradient, damped
-    solve, capped step and candidate score from one batched forward pass and
-    one batched solve, and only the rows still searching take their outcome,
-    by masked writes. A run begins an iteration after an accepted step; after
-    a rejected one it retries the same point with four times the damping, and
-    it gives up, unconverged, once the damping reaches 1e8. Joints pinned at
-    a limit by the gradient take no step and are left out of the gradient
-    test: their gradient entries are zero and their rows and columns of the
-    system are the identity, which leaves the system of the free joints as it
-    is; these masks are built only in rounds where a joint sits on a limit.
-    So a minimum on the joint box's boundary counts as converged. A run
-    also stops, converged, once an accepted step lowers the objective by at
-    most ``STALL_REL`` of its value: at large-residual minima Gauss-Newton
-    converges only linearly, and the objective stops moving long before the
-    absolute gradient test is met.
+    Each accepted point (the start is one) forms the gradient and undamped
+    system once and runs the convergence tests; a rejected step only raises
+    the damping fourfold and solves again, and the run gives up, unconverged,
+    at 1e8. Joints pinned at a limit by the gradient take no step: their
+    gradient entries are zero and their rows and columns of the system the
+    identity, so a minimum on the joint box's boundary counts as converged.
+    So does a step that lowers the objective by at most ``STALL_REL`` of it,
+    as Gauss-Newton converges only linearly at large-residual minima. No
+    overflow warns: a start whose objective or system is not finite is a
+    ValueError naming the argument at fault, a candidate's is rejected.
     """
     lo, hi = chain.limits
     eye = np.eye(chain.n_joints)
     prior_h = lambda_q * eye
-    lam = np.full(q.shape[0], 1e-3)
-    iters = np.zeros(q.shape[0], dtype=np.int64)
-    converged = obj == 0.0
-    searching = ~converged
-    fresh = np.ones(q.shape[0], dtype=bool)  # the next candidate begins an iteration
-    while True:
-        jt = np.swapaxes(jac, 1, 2)
-        g = 2.0 * ((lambda_x * jt @ rx[:, :, None])[..., 0] + lambda_q * (q - mu_q))
-        at_lo, at_hi, free = q <= lo, q >= hi, None  # None: every joint free
-        if at_lo.any() or at_hi.any():
-            free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
-            g = np.where(free, g, 0.0)
-        flat = np.sqrt((g * g).sum(axis=1)) < grad_tol
-        # a run that begins an iteration ends on a flat gradient or a spent budget
-        begin = searching & fresh
-        spent = begin & (iters == max_iters)
-        iters += begin & ~spent
-        done = begin & (flat | spent)
-        converged |= done & flat
-        searching &= ~done
-        if not searching.any():
-            return iters, converged
-        h = 2.0 * (lambda_x * jt @ jac + prior_h) + lam[:, None, None] * eye
-        if free is not None:
-            h = np.where(free[:, :, None] & free[:, None, :], h, eye)
-        step = np.linalg.solve(h, -g[..., None])[..., 0]
-        cand = np.minimum(np.maximum(q + _cap_step(step), lo), hi)
-        obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)
-        better = searching & (obj_c < obj)
-        stalled = better & (obj - obj_c <= STALL_REL * obj)
-        np.copyto(q, cand, where=better[:, None])
-        np.copyto(obj, obj_c, where=better)
-        np.copyto(rx, rx_c, where=better[:, None])
-        np.copyto(jac, jac_c, where=better[:, None, None])
-        # masked, so a stopped run's damping cannot overflow while others search
-        np.multiply(lam, 0.5, out=lam, where=better)
-        np.maximum(lam, 1e-9, out=lam, where=better)
-        np.multiply(lam, 4.0, out=lam, where=searching & ~better)
-        fresh = better
-        converged |= stalled
-        searching &= ~stalled & (lam < 1e8)
+    lam, iters = 1e-3, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+        while True:
+            xjt = lambda_x * np.swapaxes(jac, 1, 2)
+            g = 2.0 * ((xjt @ rx[:, :, None])[..., 0] + lambda_q * (q - mu_q))
+            system = 2.0 * (xjt @ jac + prior_h)
+            if iters == 0 and not (np.isfinite(obj[0]) and np.isfinite(system).all()):
+                # the target or prior whose squared distance overflows, else the larger weight
+                task, prior = (rx * rx).sum(), ((q - mu_q) ** 2).sum()
+                heavy_x = lambda_x * max(task, (jac * jac).sum()) > lambda_q * max(prior, 1.0)
+                name = ("x_target" if task == np.inf else "mu_q" if prior == np.inf
+                        else "lambda_x" if heavy_x else "lambda_q")
+                raise ValueError(f"{name} out of range: the prior-IK objective or system at the "
+                                 f"start {q[0].tolist()} is not finite")
+            if iters == 0 and obj[0] == 0.0:
+                return q, obj, rx, 0, True
+            at_lo, at_hi, free = q <= lo, q >= hi, None  # None: every joint free
+            if (at_lo | at_hi).any():
+                free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
+                g = np.where(free, g, 0.0)
+            flat = np.sqrt((g * g).sum(axis=1))[0] < grad_tol
+            if iters == max_iters:
+                return q, obj, rx, iters, flat
+            iters += 1
+            if flat:
+                return q, obj, rx, iters, True
+            while True:
+                h = system + lam * eye
+                if free is not None:
+                    h = np.where(free[:, :, None] & free[:, None, :], h, eye)
+                step = np.linalg.solve(h, -g[..., None])[..., 0]
+                step *= _MAX_STEP / max(np.abs(step).max(), _MAX_STEP)
+                cand = np.minimum(np.maximum(q + step, lo), hi)
+                obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)
+                if obj_c[0] < obj[0]:
+                    break
+                lam *= 4.0
+                if lam >= 1e8:
+                    return q, obj, rx, iters, False
+            stalled = obj[0] - obj_c[0] <= STALL_REL * obj[0]
+            q, obj, rx, jac = cand, obj_c, rx_c, jac_c
+            lam = max(lam * 0.5, 1e-9)
+            if stalled:
+                return q, obj, rx, iters, True
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,25 @@ def test_ik_demo_runs(capsys):
     assert "baseline IK" in out and "prior IK" in out
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--target", "1e300", "0", "0"], "--target"),
+        (["--target", "0.2", "0.05", "-0.1", "--prior", "1e200", "0", "0", "0"], "--prior"),
+        (["--target", "0.2", "0.05", "-0.1", "--lambda-q", "1e308"], "--lambda-q"),
+    ],
+    ids=["target", "prior", "lambda-q"],
+)
+def test_ik_demo_value_that_overflows_the_objective_is_exit_2(capsys, argv, named):
+    """A finite flag too large for the objective or the system of the first
+    step is named, not solved into an infinite residual or a start that never
+    moves."""
+    assert main(["ik-demo", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named} out of range")
+    assert "Traceback" not in captured.err and "converged" not in captured.out
+
+
 def test_unrecognized_dataset_entry_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"bogus": 1}}))

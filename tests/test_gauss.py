@@ -160,3 +160,14 @@ def test_gaussian_json_round_trip():
     g2 = Gaussian.from_dict(g.to_dict())
     np.testing.assert_array_equal(g.mean, g2.mean)
     np.testing.assert_array_equal(g.cov, g2.cov)
+
+
+def test_gaussian_is_read_only_and_keeps_its_factor():
+    mean, cov = np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]])
+    g = Gaussian(mean, cov)
+    first = log_pdf(g, [0.4, -0.2])
+    cov[0, 0] = 9.0  # the Gaussian holds its own copy
+    assert log_pdf(g, [0.4, -0.2]) == first
+    for array in (g.mean, g.cov, *g.factors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,8 +138,7 @@ def left_to_right_hmm(rng, n_states, d_z):
     """A random model whose transitions never lead to a lower state."""
     h = random_hmm(rng, n_states, d_z)
     trans = np.triu(rng.uniform(0.1, 1.0, (n_states, n_states)))
-    h.trans = trans / trans.sum(axis=1, keepdims=True)
-    return h
+    return replace(h, trans=trans / trans.sum(axis=1, keepdims=True))
 
 
 def split_rows(obs, lengths):
@@ -208,8 +208,7 @@ def test_forward_unobserved_matches_matrix_power():
 
 def test_forward_unobserved_identity_transitions():
     rng = np.random.default_rng(6)
-    h = random_hmm(rng, 3, 1)
-    h.trans = np.eye(3)
+    h = replace(random_hmm(rng, 3, 1), trans=np.eye(3))
     bar = forward_unobserved(h, 10)
     for t in range(10):
         np.testing.assert_allclose(bar[t], h.pi, atol=1e-12)
@@ -403,6 +402,25 @@ def test_em_fit_occupancy_averages_each_sequence_over_its_own_steps(caplog):
                            "falling back to segment initialization"] if collapses else [])
 
 
+def test_a_fitted_model_cannot_be_edited():
+    """A model and what it caches are read-only, and it keeps its own copy of
+    the arrays it was built from, so its factors can never go stale."""
+    rng = np.random.default_rng(17)
+    seqs = [np.linspace(0.0, 3.0, n)[:, None] + 0.05 * rng.standard_normal((n, 2)) for n in (30, 24)]
+    fitted, _ = em_fit(init_segments(seqs, 3, 1), seqs, max_iters=3)
+    state_log_liks(fitted, seqs[0])
+    cached = [*fitted.log_params, *fitted.factors("full")]
+    for array in [fitted.pi, fitted.trans, fitted.means, fitted.covs, *cached]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(AttributeError):
+        fitted.covs = np.stack([np.eye(2)] * 3)
+    means = fitted.means.copy()
+    rebuilt = Hmm(fitted.pi, fitted.trans, means, fitted.covs, 1)
+    means[0] = 50.0
+    np.testing.assert_array_equal(rebuilt.means, fitted.means)
+
+
 def test_em_fit_keeps_a_healthy_fit_and_replaces_a_collapsed_one(caplog):
     """A model whose last state is never visited falls back to the segment
     initialization of the same sequences; one that visits every state stays."""
@@ -412,8 +430,9 @@ def test_em_fit_keeps_a_healthy_fit_and_replaces_a_collapsed_one(caplog):
         for n in (30, 24, 37)
     ]
     healthy = init_segments(seqs, 3, 1)
-    collapsed = init_segments(seqs, 3, 1)
-    collapsed.means[2] = 50.0
+    means = healthy.means.copy()
+    means[2] = 50.0
+    collapsed = replace(healthy, means=means)
     with caplog.at_level(logging.WARNING):
         kept, _ = em_fit(healthy, seqs, max_iters=0)
         assert not caplog.records
@@ -627,7 +646,9 @@ def test_conditional_means_equal_conditional_moments_means(mode):
 )
 def test_conditional_means_singular_gain_is_numerical_error(condition, post_var):
     h = random_hmm(np.random.default_rng(27), 2, 2)
-    h.covs[1, :2, :2] = 0.0
+    covs = h.covs.copy()
+    covs[1, :2, :2] = 0.0
+    h = replace(h, covs=covs)
     with pytest.raises(NumericalError, match="singular"):
         condition(h, np.zeros((1, 2)), post_var, np.array([[0.5, 0.5]]))
 

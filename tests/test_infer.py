@@ -12,7 +12,7 @@ from comotion.data import (
 from comotion import infer
 from comotion.errors import ConfigError
 from comotion.gauss import Gaussian, log_pdf
-from comotion.hmm import TransitionStateModel
+from comotion.hmm import Hmm, TransitionStateModel
 from comotion.infer import (
     ReactiveState,
     conditional_predictions,
@@ -149,6 +149,43 @@ def test_rollout_skips_ik_at_a_non_finite_hand_target(dataset, forced):
     rest = np.arange(len(result.q)) != 26
     np.testing.assert_array_equal(result.q[rest], clean.q[rest])
     np.testing.assert_array_equal(result.alpha, clean.alpha)
+
+
+@pytest.mark.parametrize("with_ik", [True, False], ids=["ik", "no-ik"])
+def test_rollout_factors_each_density_once(dataset, trained, monkeypatch, with_ik):
+    """Each fitted density is factored on first use and kept: after the first
+    step of a rollout, with IK and without, np.linalg.cholesky and
+    np.linalg.inv are never called again, though the gate's density branch
+    runs before contact and IK after it."""
+    hmm, _ = trained.hmms["greet"]
+    fresh = Hmm.from_dict(hmm.to_dict())  # nothing computed from it yet
+    far = Gaussian(np.full(trained.config.d_z, 50.0), np.eye(trained.config.d_z))
+    tsm = TransitionStateModel.for_hmm(fresh, {fresh.n_states - 1}, {0}, far)
+    bundle = ModelBundle(trained.human_vae, trained.robot_vae, {"greet": (fresh, tsm)},
+                         trained.config, trained.seed)
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    after_step = []
+    step = infer.reactive_step
+
+    def recorded(*args):
+        out = step(*args)
+        after_step.append(dict(calls))
+        return out
+
+    monkeypatch.setattr(infer, "reactive_step", recorded)
+    chain = default_arm_chain()
+    pair = dataset.subset("test")[0]
+    hands = _hand_targets(chain, pair) if with_ik else None
+    result = rollout(bundle, "greet", pair.h_frames, chain if with_ik else None, hands)
+    assert not result.stiffness_low[0] and result.stiffness_low[-1]
+    assert result.ik_used.any() == with_ik
+    assert after_step[0] == {"cholesky": 2, "inv": 2}  # the h block's and the gate's
+    assert after_step[-1] == after_step[0]
 
 
 def test_trained_beats_untrained_by_10x(dataset, trained, untrained):

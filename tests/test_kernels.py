@@ -8,12 +8,14 @@ against one Cholesky and one inverse per state and against scipy's
 ``multivariate_normal``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
 from comotion import _kernels as K
-from comotion.gauss import regularize_spd
+from comotion.gauss import inverse_factors, regularize_spd
 from comotion.hmm import (
     Hmm,
     em_fit,
@@ -500,7 +502,7 @@ def test_chol_logpdf_paths_agree_and_match_scipy():
     mean = rng.standard_normal(d)
     x = rng.standard_normal((30, d))
     chol = np.linalg.cholesky(cov)
-    got = K.chol_logpdf(x, mean, np.linalg.inv(chol))
+    got = K.chol_logpdf(x, mean, *inverse_factors(cov))
     np.testing.assert_allclose(got, chol_logpdf_rows(x, mean, chol), atol=1e-11)
     np.testing.assert_allclose(got, multivariate_normal(mean, cov).logpdf(x), atol=1e-10)
 
@@ -527,6 +529,24 @@ def test_state_log_liks_matches_scipy_multivariate_normal(d_z, block, rows):
     np.testing.assert_allclose(state_log_liks(hmm, obs, block), want, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("block", ["full", "h", "r"])
+def test_a_rebuilt_model_has_its_own_factors(block):
+    """A model rebuilt with changed parameters, after the first one's factors
+    were computed and kept, matches scipy's densities under the new ones, and
+    the first model's densities are unchanged."""
+    hmm, obs = _random_block_case(2, block, 40)
+    before = state_log_liks(hmm, obs, block)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(hmm.covs.shape)
+    rebuilt = replace(hmm, means=hmm.means + 1.0, covs=a @ a.transpose(0, 2, 1) / 4 + np.eye(4))
+    means, covs = rebuilt.block_params(block)
+    want = np.stack(
+        [multivariate_normal(m, c).logpdf(obs).reshape(-1) for m, c in zip(means, covs)], axis=1
+    )
+    np.testing.assert_allclose(state_log_liks(rebuilt, obs, block), want, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(state_log_liks(hmm, obs, block), before)
+
+
 def _random_block_case(d_z, block, rows):
     """A random 4-state HMM over 2 d_z dimensions and ``rows`` points of ``block``'s width."""
     rng = np.random.default_rng(5)
@@ -545,12 +565,12 @@ def _random_block_case(d_z, block, rows):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_chol_logpdf_rejects_non_finite_points_and_factors(bad):
-    chol = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    chol_inv, log_norm = inverse_factors(np.array([[2.0, 0.3], [0.3, 1.0]]))
     x = np.zeros((3, 2))
     x[1, 0] = bad
-    chol_inv = np.linalg.inv(chol)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.chol_logpdf(x, np.zeros(2), chol_inv)
+        K.chol_logpdf(x, np.zeros(2), chol_inv, log_norm)
+    chol_inv = chol_inv.copy()
     chol_inv[1, 0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol_inv)
+        K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol_inv, log_norm)

@@ -6,10 +6,9 @@ from comotion.kin import (
     IkSolution,
     KinematicChain,
     Joint,
-    _cap_step,
     _frames,
+    _prior_descent,
     _prior_score,
-    _prior_search,
     default_arm_chain,
     fk,
     fk_pose,
@@ -215,6 +214,27 @@ def test_ik_prior_rejects_non_finite_weights(lambda_x, lambda_q):
         ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], lambda_x, lambda_q)
 
 
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"max_iters": -1}, {"grad_tol": -1e-6},
+                                    {"grad_tol": np.nan}, {"grad_tol": np.inf}])
+def test_ik_prior_rejects_negative_counts_and_a_bad_gradient_tolerance(kwargs):
+    with pytest.raises(ValueError, match="must be (finite and )?non-negative"):
+        ik_with_prior(planar_chain(), [1.0, 0.0, 0.0], [0.0, 0.0], **kwargs)
+
+
+@pytest.mark.parametrize("target, mu_q, lambda_x, lambda_q, named", [
+    ([1e300, 0.0, 0.0], [0.0, 0.0], 1.0, 0.01, "x_target"),
+    ([1.0, 0.0, 0.0], [1e200, 0.0], 1.0, 0.01, "mu_q"),
+    ([1.0, 0.5, 0.0], [0.0, 0.0], 1e308, 0.01, "lambda_x"),
+    ([1.0, 0.5, 0.0], [0.0, 0.0], 1.0, 1e308, "lambda_q"),
+    ([1.0, 0.5, 0.0], [0.0, 0.0], 0.0, 1e308, "lambda_q"),
+])
+def test_ik_prior_start_out_of_range_names_the_argument(target, mu_q, lambda_x, lambda_q, named):
+    """Finite arguments whose objective or system overflows at the start are
+    a ValueError naming the argument, with no warning."""
+    with pytest.raises(ValueError, match=f"^{named} out of range"):
+        ik_with_prior(planar_chain(), target, mu_q, lambda_x, lambda_q)
+
+
 @pytest.mark.parametrize("q", [[0.3], [0.3] * 5, [[0.3] * 4], 0.3])
 def test_fk_rejects_joint_vectors_of_the_wrong_shape(q):
     # one value would broadcast against the four joint limits in clamp
@@ -386,8 +406,14 @@ def test_chain_json_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the full-batch prior-IK search against the compacting one
+# the one-start prior-IK descent against the compacting lockstep search
 # ---------------------------------------------------------------------------
+
+
+def _cap_step(step):
+    """Scale each row of ``step`` (B, n) down so no entry exceeds 0.5 rad."""
+    biggest = np.abs(step).max(axis=1, keepdims=True)
+    return step * (0.5 / np.maximum(biggest, 0.5))
 
 
 def prior_search_reference(chain, x_target, mu_q, lambda_x, lambda_q, starts, grad_tol, max_iters):
@@ -505,9 +531,10 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("chain, target, mu_q, lambda_q, kwargs", _oracle_cases())
 def test_ik_prior_search_matches_compacting_reference(chain, target, mu_q, lambda_q, kwargs):
-    """Advancing every run on the full batch changes no run's arithmetic:
-    each run's end point, objective, iterations and convergence are
-    bit-equal to the compacting search's, and so is the solution."""
+    """Running each start alone changes no run's arithmetic: the descent
+    from each start ends on the end point, objective, task residual,
+    iterations and convergence of that start's run in the compacting
+    lockstep search, bit for bit, and so does the solution."""
     grad_tol = kwargs.get("grad_tol", 1e-6)
     restarts = kwargs.get("restarts", 8)
     lo, hi = chain.limits
@@ -516,16 +543,17 @@ def test_ik_prior_search_matches_compacting_reference(chain, target, mu_q, lambd
     ref_q, ref_obj, ref_rx, ref_iters, ref_conv = prior_search_reference(
         chain, target, mu_q, 1.0, lambda_q, starts, grad_tol, 200
     )
-    q = starts.copy()
-    obj, rx, jac = _prior_score(chain, q, target, mu_q, 1.0, lambda_q)
-    iters, conv = _prior_search(chain, target, mu_q, 1.0, lambda_q, q, obj, rx, jac, grad_tol, 200)
-    np.testing.assert_array_equal(q, ref_q)
-    np.testing.assert_array_equal(obj, ref_obj)
-    np.testing.assert_array_equal(rx, ref_rx)
-    np.testing.assert_array_equal(iters, ref_iters)
-    np.testing.assert_array_equal(conv, ref_conv)
+    for i, start in enumerate(starts):
+        q, obj, rx, iters, conv = _prior_descent(
+            chain, target, mu_q, 1.0, lambda_q, start[None], grad_tol, 200
+        )
+        np.testing.assert_array_equal(q[0], ref_q[i])
+        np.testing.assert_array_equal(obj[0], ref_obj[i])
+        np.testing.assert_array_equal(rx[0], ref_rx[i])
+        assert (iters, conv) == (ref_iters[i], ref_conv[i])
 
     sol = ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs)
+    assert type(sol.iterations) is int and type(sol.converged) is bool
     ref = ik_with_prior_reference(chain, target, mu_q, 1.0, lambda_q, **kwargs)
     np.testing.assert_array_equal(sol.q, ref.q)
     assert (sol.residual, sol.iterations, sol.converged) == (
