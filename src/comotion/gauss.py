@@ -4,8 +4,8 @@ Moments pass between modules as plain (mean, cov) arrays. ``Gaussian``
 carries the one stored distribution that is not part of a model's
 parameter arrays, the contact gate's transition-state density, and
 ``log_pdf`` evaluates it. ``regularize_spd`` repairs fitted covariances.
-All density arithmetic goes through Cholesky factors and stays in log
-space; ``Gaussian``, like ``Hmm``, keeps its ``inverse_factors``.
+Only ``inverse_factors`` factors a covariance; ``Gaussian``, like ``Hmm``,
+keeps its result, which densities and the VAE's KL term read.
 """
 
 from __future__ import annotations
@@ -29,17 +29,13 @@ def _as_matrix(m) -> np.ndarray:
     return m
 
 
-def cholesky_or_raise(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericalError("covariance not positive definite") from None
-
-
 def inverse_factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only inverse lower Cholesky factors L^-1 of ``covs`` (..., d, d) and
     log-normalizers -0.5 (log det + d log 2 pi); NumericalError unless SPD."""
-    chol_invs = np.linalg.inv(cholesky_or_raise(covs))
+    try:
+        chol_invs = np.linalg.inv(np.linalg.cholesky(covs))
+    except np.linalg.LinAlgError:
+        raise NumericalError("covariance not positive definite") from None
     logdet = -2.0 * np.log(np.diagonal(chol_invs, axis1=-2, axis2=-1)).sum(axis=-1)
     return read_only(chol_invs), read_only(-0.5 * (logdet + covs.shape[-1] * _LOG_2PI))
 

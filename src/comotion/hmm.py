@@ -27,6 +27,8 @@ step, dense models and a step no state explains loop over time. A model
 is never edited (its arrays are read-only; ``em_fit`` builds a new one at
 each M-step), so it computes log pi, log trans and each block's inverse
 Cholesky factors and log-normalizers once, on first use, and keeps them.
+The factors have two readers: ``state_log_liks``, behind every emission
+density here, and the VAE objectives' KL term against a block's marginal.
 Mixture conditioning is batched, with a single step as a batch of one.
 One helper, ``_gain_solve``, builds each state's h-block covariance (plus
 the posterior variance when given), solves it and turns a singular solve

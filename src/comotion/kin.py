@@ -188,7 +188,6 @@ def ik_with_prior(
     mu_q,
     lambda_x: float = 1.0,
     lambda_q: float = 0.01,
-    q_init=None,
     grad_tol: float = 1e-6,
     max_iters: int = 200,
     restarts: int = 8,
@@ -214,12 +213,11 @@ def ik_with_prior(
     if x_target.shape != (3,) or not np.all(np.isfinite(x_target)):
         raise ValueError(f"target position must be 3 finite values, got {x_target.tolist()}")
     mu_q = _joint_vector(chain, mu_q, "prior joint values")
-    q0 = mu_q if q_init is None else _joint_vector(chain, q_init, "initial joint values")
-    if not (np.all(np.isfinite(mu_q)) and np.all(np.isfinite(q0))):
-        raise ValueError("joint prior and initial joints must be finite")
-    draws = np.random.default_rng(0).uniform(*chain.limits, (restarts, len(q0))) if restarts else ()
+    if not np.all(np.isfinite(mu_q)):
+        raise ValueError("joint prior must be finite")
+    draws = np.random.default_rng(0).uniform(*chain.limits, (restarts, len(mu_q))) if restarts else ()
     runs = []
-    for start in [chain.clamp(q0), *draws]:
+    for start in [chain.clamp(mu_q), *draws]:
         runs.append(_prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, start[None],
                                    grad_tol, max_iters))
         if runs[0][1][0] == 0.0 and runs[0][3] == 0:  # an exact warm start is the answer
@@ -255,7 +253,8 @@ def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_i
     So does a step that lowers the objective by at most ``STALL_REL`` of it,
     as Gauss-Newton converges only linearly at large-residual minima. No
     overflow warns: a start whose objective or system is not finite is a
-    ValueError naming the argument at fault, a candidate's is rejected.
+    ValueError naming the argument at fault, a candidate's is rejected. A
+    singular damped system, lambda_x's term drowning the rest, names lambda_x.
     """
     lo, hi = chain.limits
     eye = np.eye(chain.n_joints)
@@ -291,7 +290,11 @@ def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_i
                 h = system + lam * eye
                 if free is not None:
                     h = np.where(free[:, :, None] & free[:, None, :], h, eye)
-                step = np.linalg.solve(h, -g[..., None])[..., 0]
+                try:
+                    step = np.linalg.solve(h, -g[..., None])[..., 0]
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"lambda_x out of range: the damped prior-IK system at "
+                                     f"{q[0].tolist()} is singular") from None
                 step *= _MAX_STEP / max(np.abs(step).max(), _MAX_STEP)
                 cand = np.minimum(np.maximum(q + step, lo), hi)
                 obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)

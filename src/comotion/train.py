@@ -1,11 +1,12 @@
 """Training pipelines and checkpointing.
 
 Stage one (``train_hhi``) alternates epochs of VAE updates against the
-per-timestep marginal priors of each interaction's sequence model with
-refits of those models on the current latent encodings; the models start
-from zero-mean identity-covariance components. Stage two (``train_hri``)
-freezes the observing agent's VAE and the sequence models and trains a
-fresh generated-agent VAE whose objective includes the variant-specific
+per-timestep marginal priors of each interaction's sequence model (the
+objectives take the fitted model itself) with refits of those models on
+the current latent encodings; the models start from zero-mean
+identity-covariance components. Stage two (``train_hri``) freezes the
+observing agent's VAE and the sequence models and trains a fresh
+generated-agent VAE whose objective includes the variant-specific
 conditional reconstruction term. Both stages record a per-epoch loss trace
 and a validation conditional MSE.
 
@@ -53,7 +54,6 @@ from comotion.hmm import (
 from comotion.infer import predict_trajectories
 from comotion.net import AdamState, adam_step
 from comotion.vae import (
-    PriorPack,
     Vae,
     Variant,
     conditional_latents,
@@ -205,14 +205,6 @@ def _refit_hmms(v_h, v_r, fit, config, rng) -> dict[str, tuple[Hmm, None]]:
     }
 
 
-def _prior_packs(hmms) -> dict[str, tuple[PriorPack, PriorPack]]:
-    return {
-        label: (PriorPack.from_moments(*hmm.block_params("h")),
-                PriorPack.from_moments(*hmm.block_params("r")))
-        for label, (hmm, _) in hmms.items()
-    }
-
-
 def _unobserved_index(hmm: Hmm, length: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     key = (id(hmm), length)
     if key not in cache:
@@ -266,18 +258,16 @@ def train_hhi(dataset: Dataset, config: TrainConfig, seed: int = 0) -> ModelBund
     k = config.mc_samples
     trace = []
     for epoch in range(config.epochs):
-        packs = _prior_packs(hmms)
         cache: dict = {}
         sums = {"recon_h": 0.0, "recon_r": 0.0, "kl": 0.0, "cond": 0.0, "total": 0.0}
         for f in fit:
             hmm_c = hmms[f.label][0]
-            pack_h, pack_r = packs[f.label]
             B = f.x_h.shape[0]
             _, idx = _unobserved_index(hmm_c, B, cache)
             eps_h = rng.standard_normal((B, k, config.d_z))
             eps_r = rng.standard_normal((B, k, config.d_z))
             loss, g_h, g_r, parts = hhi_loss(
-                v_h, v_r, f.x_h, f.x_r, pack_h, pack_r, idx, config.beta, eps_h, eps_r
+                v_h, v_r, f.x_h, f.x_r, hmm_c, idx, config.beta, eps_h, eps_r
             )
             if not np.isfinite(loss):
                 raise NumericalError(f"training loss diverged at epoch {epoch}")
@@ -327,7 +317,6 @@ def train_hri(
     opt = AdamState.for_params(v_r.params, lr=config.lr, weight_decay=config.weight_decay)
     k = config.mc_samples
     variant = config.variant
-    packs = _prior_packs(hmms)
     cache: dict = {}
     frozen = []
     for f in fit:
@@ -347,8 +336,7 @@ def train_hri(
                 eps = rng.standard_normal((B, k, config.d_z))
                 cond_z = conditional_latents(hmm_c, mu_h, var_h, alphas, variant, eps, pre)
             loss, grads, parts = hri_loss(
-                v_r, f.x_r, packs[f.label][1], idx, config.beta, eps_r, cond_z,
-                config.cond_weight,
+                v_r, f.x_r, hmm_c, idx, config.beta, eps_r, cond_z, config.cond_weight
             )
             if not np.isfinite(loss):
                 raise NumericalError(f"training loss diverged at epoch {epoch}")

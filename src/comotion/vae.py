@@ -17,6 +17,9 @@ identity. Two objectives are assembled here:
   conditions the posterior mean (optionally with its covariance) and
   decodes samples of the conditional distribution.
 
+Both take the fitted ``Hmm`` as the prior: a window's KL term is scored
+against one state's h- or r-block marginal from ``Hmm.factors``.
+
 All gradients are assembled by hand on top of ``net.mlp_backward``; the
 sampling noise is passed in explicitly so losses are deterministic given
 the noise, which is what makes finite-difference gradient checks possible.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from comotion.errors import ConfigError
-from comotion.gauss import cholesky_or_raise, regularize_spd
+from comotion.gauss import _LOG_2PI, regularize_spd
 from comotion.hmm import Hmm, conditional_means, conditional_moments
 from comotion.net import Mlp, mlp_backward, mlp_forward
 
@@ -165,37 +168,22 @@ def decode(v: Vae, z) -> np.ndarray:
     return v.unstandardize(out)
 
 
-@dataclass
-class PriorPack:
-    """Per-state marginal priors prepared for batched KL evaluation."""
-
-    means: np.ndarray  # (N, d)
-    precs: np.ndarray  # (N, d, d)
-    logdets: np.ndarray  # (N,)
-
-    @classmethod
-    def from_moments(cls, means: np.ndarray, covs: np.ndarray) -> "PriorPack":
-        """Pack (N, d) prior means and (N, d, d) covariances; a covariance
-        that is not positive definite is a NumericalError."""
-        chols = cholesky_or_raise(covs)
-        logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-        return cls(means, np.linalg.inv(covs), logdets)
-
-
-def _kl_terms(mu, var, pack: PriorPack, idx):
-    """Batched KL(diag posterior || full prior) values and gradients.
-
-    Returns (kl (B,), dmu (B, d), dvar (B, d)).
-    """
+def _kl_terms(mu, var, hmm: Hmm, block: str, idx):
+    """Batched KL(diag posterior || states ``idx``'s ``block`` marginals) with
+    its gradients (kl (B,), dmu (B, d), dvar (B, d)), from the kept factors:
+    with M = L^-1 and y = M (mu_p - mu), the quadratic term is |y|^2, diag P
+    the column sums of M*M and dmu = -M^T y."""
     d = mu.shape[1]
-    P = pack.precs[idx]  # (B, d, d)
-    diagP = np.diagonal(P, axis1=1, axis2=2)
-    diff = pack.means[idx] - mu
-    quad = np.einsum("bi,bij,bj->b", diff, P, diff)
+    chol_invs, log_norms = hmm.factors(block)
+    M = chol_invs[idx]  # (B, d, d)
+    y = np.einsum("bij,bj->bi", M, hmm.block_params(block)[0][idx] - mu)
+    diagP = np.einsum("bij,bij->bj", M, M)
     with np.errstate(divide="ignore"):
         logdet_q = np.log(var).sum(axis=1)
-    kl = 0.5 * ((diagP * var).sum(axis=1) + quad - d + pack.logdets[idx] - logdet_q)
-    dmu = -np.einsum("bij,bj->bi", P, diff)
+    # the prior's log det is -2 log_norm - d log 2 pi
+    trace_quad = (diagP * var + y * y).sum(axis=1)
+    kl = 0.5 * (trace_quad - logdet_q - d * (1.0 + _LOG_2PI)) - log_norms[idx]
+    dmu = -np.einsum("bji,bj->bi", M, y)
     dvar = 0.5 * (diagP - 1.0 / var)
     return kl, dmu, dvar
 
@@ -227,13 +215,15 @@ def _add(acc: list[np.ndarray], new: list[np.ndarray]) -> None:
 def _agent_elbo(
     v: Vae,
     x: np.ndarray,
-    pack: PriorPack,
+    hmm: Hmm,
+    block: str,
     idx: np.ndarray,
     beta: float,
     eps: np.ndarray,
 ):
-    """Reconstruction + beta*KL for one agent over a (B, D) batch of raw
-    windows; reconstruction is scored in standardized units.
+    """Reconstruction + beta*KL, against ``hmm``'s ``block`` marginals at states
+    ``idx``, for one agent over a (B, D) batch of raw windows; reconstruction
+    is scored in standardized units.
 
     eps: (B, k, d_z) frozen reparameterization noise. Returns
     (recon, kl_mean, grads) with grads ordered like ``v.params``.
@@ -247,7 +237,7 @@ def _agent_elbo(
     dmu_recon = dz.sum(axis=1)
     dsigma = (dz * eps).sum(axis=1)
     dvar_recon = dsigma * (0.5 / sigma)
-    kl, dmu_kl, dvar_kl = _kl_terms(mu, var, pack, idx)
+    kl, dmu_kl, dvar_kl = _kl_terms(mu, var, hmm, block, idx)
     kl_mean = float(kl.mean())
     dmu = dmu_recon + (beta / B) * dmu_kl
     dvar = dvar_recon + (beta / B) * dvar_kl
@@ -261,20 +251,20 @@ def hhi_loss(
     v_r: Vae,
     x_h: np.ndarray,
     x_r: np.ndarray,
-    pack_h: PriorPack,
-    pack_r: PriorPack,
+    hmm: Hmm,
     idx: np.ndarray,
     beta: float,
     eps_h: np.ndarray,
     eps_r: np.ndarray,
 ):
-    """Two-agent objective on a batch of aligned timesteps.
+    """Two-agent objective on a batch of aligned timesteps, whose KL terms
+    score each window against state ``idx`` of the fitted ``hmm``.
 
     Returns (loss, grads_h, grads_r, parts). When the two networks are the
     same object the caller is responsible for summing the gradient lists.
     """
-    recon_h, kl_h, grads_h = _agent_elbo(v_h, x_h, pack_h, idx, beta, eps_h)
-    recon_r, kl_r, grads_r = _agent_elbo(v_r, x_r, pack_r, idx, beta, eps_r)
+    recon_h, kl_h, grads_h = _agent_elbo(v_h, x_h, hmm, "h", idx, beta, eps_h)
+    recon_r, kl_r, grads_r = _agent_elbo(v_r, x_r, hmm, "r", idx, beta, eps_r)
     loss = recon_h + recon_r + beta * (kl_h + kl_r)
     parts = {"recon_h": recon_h, "recon_r": recon_r, "kl": kl_h + kl_r, "cond": 0.0}
     return loss, grads_h, grads_r, parts
@@ -353,7 +343,7 @@ def conditional_latents(
 def hri_loss(
     v_r: Vae,
     x_r: np.ndarray,
-    pack_r: PriorPack,
+    hmm: Hmm,
     idx: np.ndarray,
     beta: float,
     eps_r: np.ndarray,
@@ -367,7 +357,7 @@ def hri_loss(
     training. Returns (loss, grads_r, parts).
     """
     B = x_r.shape[0]
-    recon_r, kl_r, grads = _agent_elbo(v_r, x_r, pack_r, idx, beta, eps_r)
+    recon_r, kl_r, grads = _agent_elbo(v_r, x_r, hmm, "r", idx, beta, eps_r)
     cond = 0.0
     if cond_z is not None:
         k = cond_z.shape[1]

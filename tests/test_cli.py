@@ -197,13 +197,14 @@ def test_ik_demo_runs(capsys):
         (["--target", "1e300", "0", "0"], "--target"),
         (["--target", "0.2", "0.05", "-0.1", "--prior", "1e200", "0", "0", "0"], "--prior"),
         (["--target", "0.2", "0.05", "-0.1", "--lambda-q", "1e308"], "--lambda-q"),
+        (["--target", "0.2", "0.05", "-0.1", "--lambda-x", "1e308"], "--lambda-x"),
     ],
-    ids=["target", "prior", "lambda-q"],
+    ids=["target", "prior", "lambda-q", "lambda-x"],
 )
 def test_ik_demo_value_that_overflows_the_objective_is_exit_2(capsys, argv, named):
     """A finite flag too large for the objective or the system of the first
     step is named, not solved into an infinite residual or a start that never
-    moves."""
+    moves; so is a task weight that leaves the damped system singular."""
     assert main(["ik-demo", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {named} out of range")

@@ -151,6 +151,18 @@ def test_rollout_skips_ik_at_a_non_finite_hand_target(dataset, forced):
     np.testing.assert_array_equal(result.alpha, clean.alpha)
 
 
+def count_factorizations(monkeypatch) -> dict[str, int]:
+    """Wrap np.linalg.cholesky and np.linalg.inv to count their calls, from
+    now on, in the returned dict."""
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("with_ik", [True, False], ids=["ik", "no-ik"])
 def test_rollout_factors_each_density_once(dataset, trained, monkeypatch, with_ik):
     """Each fitted density is factored on first use and kept: after the first
@@ -163,12 +175,7 @@ def test_rollout_factors_each_density_once(dataset, trained, monkeypatch, with_i
     tsm = TransitionStateModel.for_hmm(fresh, {fresh.n_states - 1}, {0}, far)
     bundle = ModelBundle(trained.human_vae, trained.robot_vae, {"greet": (fresh, tsm)},
                          trained.config, trained.seed)
-    calls = {"cholesky": 0, "inv": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = count_factorizations(monkeypatch)
     after_step = []
     step = infer.reactive_step
 

@@ -10,10 +10,10 @@ from comotion.hmm import Hmm, conditional_moments
 from comotion.net import AdamState, adam_step, mlp_backward, mlp_forward
 from comotion.train import TrainConfig
 from comotion.vae import (
-    PriorPack,
     Vae,
     Variant,
     _agent_elbo,
+    _kl_terms,
     _recon_stream,
     _sampling_chol,
     conditional_latents,
@@ -25,6 +25,7 @@ from comotion.vae import (
 )
 
 from test_gauss import kl_divergence
+from test_infer import count_factorizations
 from test_net import grad_check
 
 
@@ -43,8 +44,14 @@ def make_hmm(rng, n_states, d_z, spread=1.0):
     )
 
 
+def one_state_hmm(means, covs, d_z):
+    """A one-state model over the (1, 2 d_z) ``means`` and (1, 2 d_z, 2 d_z) ``covs``."""
+    return Hmm(np.ones(1), np.ones((1, 1)), means, covs, d_z)
+
+
 def unit_prior(d_z):
-    return PriorPack.from_moments(np.zeros((1, d_z)), np.eye(d_z)[None])
+    """Standard normal marginals for both blocks."""
+    return one_state_hmm(np.zeros((1, 2 * d_z)), np.eye(2 * d_z)[None], d_z)
 
 
 def zero_vae(input_dim, d_z, hidden=(6,)):
@@ -115,7 +122,7 @@ def test_trained_toy_model_beats_untrained():
     idx = np.zeros(xs.shape[0], dtype=np.intp)
     for step in range(400):
         eps = rng.standard_normal((xs.shape[0], 3, d_z))
-        _, grads_h, grads_r, _ = hhi_loss(v, v, xs, xs, prior, prior, idx, 0.0, eps, eps)
+        _, grads_h, grads_r, _ = hhi_loss(v, v, xs, xs, prior, idx, 0.0, eps, eps)
         adam_step(v.params, [a + b for a, b in zip(grads_h, grads_r)], opt)
     trained = float(np.mean((decode(v, encode_batch(v, xs)[0]) - xs) ** 2))
     assert trained * 10 < base
@@ -143,7 +150,7 @@ def test_elbo_hhi_zero_beta_perfect_autoencoder():
     prior = unit_prior(d)
     eps = np.random.default_rng(0).standard_normal((1, 10, d))
     idx = np.zeros(1, dtype=np.intp)
-    loss, _, _, _ = hhi_loss(v, v, x, x, prior, prior, idx, 0.0, eps, eps)
+    loss, _, _, _ = hhi_loss(v, v, x, x, prior, idx, 0.0, eps, eps)
     assert abs(loss) < 1e-6
 
 
@@ -160,14 +167,14 @@ def test_elbo_hhi_gradients_pass_check():
     vr = Vae.create(Dr, d_z, (6,), rng)
     x_h = rng.standard_normal((1, Dh))
     x_r = rng.standard_normal((1, Dr))
-    ph = PriorPack.from_moments(rng.standard_normal((1, d_z)), 0.8 * np.eye(d_z)[None])
-    pr = PriorPack.from_moments(rng.standard_normal((1, d_z)), 1.3 * np.eye(d_z)[None])
+    means = np.hstack([rng.standard_normal((1, d_z)), rng.standard_normal((1, d_z))])
+    prior = one_state_hmm(means, np.diag([0.8] * d_z + [1.3] * d_z)[None], d_z)
     idx = np.zeros(1, dtype=np.intp)
     eps_h = rng.standard_normal((1, 4, d_z))
     eps_r = rng.standard_normal((1, 4, d_z))
 
     def loss(params):
-        value, gh, gr, _ = hhi_loss(vh, vr, x_h, x_r, ph, pr, idx, 5e-3, eps_h, eps_r)
+        value, gh, gr, _ = hhi_loss(vh, vr, x_h, x_r, prior, idx, 5e-3, eps_h, eps_r)
         return value, gh + gr
 
     assert grad_check(loss, vh.params + vr.params) < 1e-4
@@ -181,7 +188,7 @@ def test_hhi_weight_sharing_same_object():
     prior = unit_prior(2)
     idx = np.zeros(3, dtype=np.intp)
     eps = rng.standard_normal((3, 2, 2))
-    _, gh, gr, _ = hhi_loss(v, v, x, x, prior, prior, idx, 1e-2, eps, eps)
+    _, gh, gr, _ = hhi_loss(v, v, x, x, prior, idx, 1e-2, eps, eps)
     for a, b in zip(gh, gr):
         np.testing.assert_allclose(a, b, atol=1e-12)  # same inputs, same object
 
@@ -201,14 +208,13 @@ def hri_setup():
     mu_h = rng.standard_normal((B, d_z))
     var_h = rng.uniform(0.2, 1.0, (B, d_z))
     alphas = rng.dirichlet(np.ones(N), size=B)
-    pack_r = PriorPack.from_moments(*hm.block_params("r"))
     idx = np.array([0, 1, 2])
     eps = {
         "r": rng.standard_normal((B, k, d_z)),
         "post": rng.standard_normal((B, k, d_z)),
         "cond": rng.standard_normal((B, k, d_z)),
     }
-    return vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps
+    return vr, hm, x_r, mu_h, var_h, alphas, idx, eps
 
 
 def v3_or_v2_latents(hm, mu_h, var_h, alphas, variant, eps):
@@ -220,11 +226,12 @@ def v3_or_v2_latents(hm, mu_h, var_h, alphas, variant, eps):
 
 
 def test_hri_v1_equals_independent_recomputation(hri_setup):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     beta = 5e-3
-    loss, _, parts = hri_loss(vr, x_r, pack_r, idx, beta, eps["r"], None)
+    loss, _, parts = hri_loss(vr, x_r, hm, idx, beta, eps["r"], None)
     # independent recomputation: decode reparameterized samples, plain MSE + KL
     mu, var, _, _ = encode_batch(vr, x_r)
+    means_r, covs_r = hm.block_params("r")
     recon = 0.0
     kl = 0.0
     B, k, d_z = eps["r"].shape
@@ -233,7 +240,7 @@ def test_hri_v1_equals_independent_recomputation(hri_setup):
             z = mu[b] + np.sqrt(var[b]) * eps["r"][b, s]
             recon += float(np.mean((decode(vr, z) - x_r[b]) ** 2))
         q = Gaussian(mu[b], np.diag(var[b]))
-        p = Gaussian(pack_r.means[idx[b]], np.linalg.inv(pack_r.precs[idx[b]]))
+        p = Gaussian(means_r[idx[b]], covs_r[idx[b]])
         kl += kl_divergence(q, p)
     expected = recon / (B * k) + beta * kl / B
     assert loss == pytest.approx(expected, abs=1e-10)
@@ -241,38 +248,38 @@ def test_hri_v1_equals_independent_recomputation(hri_setup):
 
 
 def test_hri_all_variants_pass_grad_check(hri_setup):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     for tag in ("v1", "v2.1", "v2.2", "v3.1", "v3.2"):
         variant = Variant(tag)
         cond_z = v3_or_v2_latents(hm, mu_h, var_h, alphas, variant, eps)
 
         def loss(params, cond_z=cond_z):
-            value, grads, _ = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], cond_z)
+            value, grads, _ = hri_loss(vr, x_r, hm, idx, 5e-3, eps["r"], cond_z)
             return value, grads
 
         assert grad_check(loss, vr.params) < 1e-4, tag
 
 
 def test_hri_conditional_term_nonnegative(hri_setup):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     for tag in ("v2.1", "v2.2", "v3.1", "v3.2"):
         cond_z = v3_or_v2_latents(hm, mu_h, var_h, alphas, Variant(tag), eps)
-        _, _, parts = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], cond_z)
+        _, _, parts = hri_loss(vr, x_r, hm, idx, 5e-3, eps["r"], cond_z)
         assert parts["cond"] >= 0.0
 
 
 def test_v32_converges_to_v31_as_posterior_cov_vanishes(hri_setup):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     tiny = np.full_like(var_h, 1e-8)
     z31 = v3_or_v2_latents(hm, mu_h, tiny, alphas, Variant("v3.1"), eps)
     z32 = v3_or_v2_latents(hm, mu_h, tiny, alphas, Variant("v3.2"), eps)
-    _, _, p31 = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], z31)
-    _, _, p32 = hri_loss(vr, x_r, pack_r, idx, 5e-3, eps["r"], z32)
+    _, _, p31 = hri_loss(vr, x_r, hm, idx, 5e-3, eps["r"], z31)
+    _, _, p32 = hri_loss(vr, x_r, hm, idx, 5e-3, eps["r"], z32)
     assert p32["cond"] == pytest.approx(p31["cond"], abs=1e-5)
 
 
 def test_v2_conditions_samples_v3_conditions_mean(hri_setup):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     z2 = conditional_latents(hm, mu_h, var_h, alphas, Variant("v2.1"), eps["post"], None)
     z3 = v3_or_v2_latents(hm, mu_h, var_h, alphas, Variant("v3.1"), eps)
     # v2 latents vary with the posterior noise draw, v3 with the conditional draw
@@ -285,7 +292,7 @@ def test_v2_conditions_samples_v3_conditions_mean(hri_setup):
 
 @pytest.mark.parametrize("tag", ["v3.1", "v3.2"])
 def test_v3_latents_are_precomputed_means_plus_chol_eps(hri_setup, tag):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     variant = Variant(tag)
     means, chol = conditional_precompute(hm, mu_h, var_h, alphas, variant)
     z = conditional_latents(hm, mu_h, var_h, alphas, variant, eps["cond"], (means, chol))
@@ -302,7 +309,7 @@ def test_v3_latents_are_precomputed_means_plus_chol_eps(hri_setup, tag):
 
 @pytest.mark.parametrize("tag", ["v2.1", "v2.2"])
 def test_v2_latents_are_conditional_moments_means_of_the_samples(hri_setup, tag):
-    vr, hm, x_r, mu_h, var_h, alphas, pack_r, idx, eps = hri_setup
+    vr, hm, x_r, mu_h, var_h, alphas, idx, eps = hri_setup
     variant = Variant(tag)
     z = conditional_latents(hm, mu_h, var_h, alphas, variant, eps["post"], None)
     B, k, d_z = eps["post"].shape
@@ -322,22 +329,90 @@ def test_variant_tags_and_flags():
         Variant("v4")
 
 
-def test_prior_pack_matches_per_state_factorization():
-    rng = np.random.default_rng(13)
-    hm = make_hmm(rng, 4, 3)
-    means, covs = hm.block_params("r")
-    pack = PriorPack.from_moments(means, covs)
-    for i in range(4):
-        chol = np.linalg.cholesky(covs[i])
-        np.testing.assert_array_equal(pack.precs[i], np.linalg.inv(covs[i]))
-        assert pack.logdets[i] == 2.0 * np.log(np.diag(chol)).sum()
-    np.testing.assert_array_equal(pack.means, means)
+def precision_kl_terms(mu, var, means, covs, idx):
+    """``_kl_terms`` through explicit precision matrices P = cov^-1, with the
+    log det from a Cholesky factor of its own: the oracle for the arithmetic
+    on the model's inverse factors."""
+    d = mu.shape[1]
+    chols = np.linalg.cholesky(covs)
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    P = np.linalg.inv(covs)[idx]
+    diagP = np.diagonal(P, axis1=1, axis2=2)
+    diff = means[idx] - mu
+    quad = np.einsum("bi,bij,bj->b", diff, P, diff)
+    kl = 0.5 * ((diagP * var).sum(axis=1) + quad - d + logdets[idx] - np.log(var).sum(axis=1))
+    dmu = -np.einsum("bij,bj->bi", P, diff)
+    dvar = 0.5 * (diagP - 1.0 / var)
+    return kl, dmu, dvar
 
 
-def test_prior_pack_rejects_non_spd_prior():
-    covs = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+@pytest.mark.parametrize("rotated, rtol", [(False, 1e-12), (True, 1e8 * np.finfo(float).eps)],
+                         ids=["graded", "rotated"])
+def test_kl_terms_match_the_precision_matrix_oracle(rotated, rtol):
+    """KL, dmu and dvar against both blocks of four random SPD priors agree
+    with the oracle, each to ``rtol`` of its largest entry. State 0's blocks
+    have condition number ~1e8. Graded, by standard deviations from 1e-2 to
+    1e2 over a random correlation, as a latent dimension whose variance
+    collapses makes them, both arithmetics keep 1e-12. Rotated, by a random
+    orthogonal basis, each is only good to cond * eps of the exact value,
+    and so of each other."""
+    rng = np.random.default_rng(17)
+    d_z, N, B = 3, 4, 40
+    hm = make_hmm(rng, N, d_z)
+    covs = hm.covs.copy()
+    for lo in (0, d_z):
+        if rotated:
+            basis, _ = np.linalg.qr(rng.standard_normal((d_z, d_z)))
+            block = (basis * np.logspace(-4, 4, d_z)) @ basis.T
+        else:
+            a = 0.3 * rng.standard_normal((d_z, d_z))
+            c = np.eye(d_z) + a @ a.T
+            sd = np.logspace(-2, 2, d_z) / np.sqrt(np.diag(c))
+            block = c * np.outer(sd, sd)
+        covs[0, lo:lo + d_z, :] = covs[0, :, lo:lo + d_z] = 0.0
+        covs[0, lo:lo + d_z, lo:lo + d_z] = 0.5 * (block + block.T)
+    hm = Hmm(hm.pi, hm.trans, hm.means, covs, d_z)
+    idx = np.arange(B) % N
+    for block in ("h", "r"):
+        mu = rng.standard_normal((B, d_z))
+        var = rng.uniform(0.1, 2.0, (B, d_z))
+        means, block_covs = hm.block_params(block)
+        assert 0.5e8 < np.linalg.cond(block_covs[0]) < 2e8
+        got = _kl_terms(mu, var, hm, block, idx)
+        want = precision_kl_terms(mu, var, means, block_covs, idx)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=rtol * np.abs(w).max())
+
+
+def test_hri_loss_rejects_non_spd_prior():
+    """An r block that is not positive definite is a NumericalError."""
+    rng = np.random.default_rng(18)
+    covs = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])])
+    hm = Hmm(np.full(2, 0.5), np.full((2, 2), 0.5), np.zeros((2, 4)), covs, 2)
+    vr = Vae.create(3, 2, (4,), rng)
+    x_r = rng.standard_normal((2, 3))
     with pytest.raises(NumericalError, match="positive definite"):
-        PriorPack.from_moments(np.zeros((2, 2)), covs)
+        hri_loss(vr, x_r, hm, np.array([0, 1]), 5e-3, rng.standard_normal((2, 2, 2)), None)
+
+
+def test_objectives_factor_nothing_once_the_model_has_its_factors(monkeypatch):
+    """Both objectives read the model's kept factors: once the first call has
+    factored the h and r blocks, neither objective calls np.linalg.cholesky
+    or np.linalg.inv again."""
+    rng = np.random.default_rng(19)
+    d_z, N, B, k = 2, 4, 5, 3
+    hm = make_hmm(rng, N, d_z)
+    vh, vr = Vae.create(5, d_z, (6,), rng), Vae.create(4, d_z, (6,), rng)
+    x_h, x_r = rng.standard_normal((B, 5)), rng.standard_normal((B, 4))
+    idx = rng.integers(0, N, B)
+    eps_h, eps_r = rng.standard_normal((B, k, d_z)), rng.standard_normal((B, k, d_z))
+    calls = count_factorizations(monkeypatch)
+    hhi_loss(vh, vr, x_h, x_r, hm, idx, 5e-3, eps_h, eps_r)
+    assert calls == {"cholesky": 2, "inv": 2}  # the h block's and the r block's
+    hhi_loss(vh, vr, x_h, x_r, hm, idx, 5e-3, eps_h, eps_r)
+    hri_loss(vr, x_r, hm, idx, 5e-3, eps_r, None)
+    hri_loss(vr, x_r, hm, idx, 5e-3, eps_r, rng.standard_normal((B, k, d_z)))
+    assert calls == {"cholesky": 2, "inv": 2}
 
 
 def test_sampling_chol_graded_bump_values():
@@ -399,22 +474,22 @@ def test_objectives_score_reconstruction_in_standardized_units():
     vh, vr = stats_vae(rng, 5, d_z), stats_vae(rng, 4, d_z)
     x_h = 3.0 + 2.0 * rng.standard_normal((B, 5))
     x_r = 3.0 + 2.0 * rng.standard_normal((B, 4))
-    pack = unit_prior(d_z)
+    prior = unit_prior(d_z)
     idx = np.zeros(B, dtype=np.intp)
     eps_h = rng.standard_normal((B, k, d_z))
     eps_r = rng.standard_normal((B, k, d_z))
-    got = hhi_loss(vh, vr, x_h, x_r, pack, pack, idx, 0.1, eps_h, eps_r)
+    got = hhi_loss(vh, vr, x_h, x_r, prior, idx, 0.1, eps_h, eps_r)
     want = hhi_loss(
         plain_twin(vh), plain_twin(vr), vh.standardize(x_h), vr.standardize(x_r),
-        pack, pack, idx, 0.1, eps_h, eps_r,
+        prior, idx, 0.1, eps_h, eps_r,
     )
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     for a, b in zip(got[1] + got[2], want[1] + want[2]):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
     cond_z = rng.standard_normal((B, k, d_z))
-    loss, grads, parts = hri_loss(vr, x_r, pack, idx, 0.1, eps_r, cond_z)
+    loss, grads, parts = hri_loss(vr, x_r, prior, idx, 0.1, eps_r, cond_z)
     loss0, grads0, parts0 = hri_loss(
-        plain_twin(vr), vr.standardize(x_r), pack, idx, 0.1, eps_r, cond_z
+        plain_twin(vr), vr.standardize(x_r), prior, idx, 0.1, eps_r, cond_z
     )
     assert parts["cond"] == pytest.approx(parts0["cond"], rel=1e-12)
     assert loss == pytest.approx(loss0, rel=1e-12)
@@ -466,7 +541,8 @@ def test_agent_elbo_allocates_one_decoder_output():
     v = Vae.create(D, d_z, (40, 20), rng)
     x = 3.0 + rng.standard_normal((B, D))
     v.fit_feature_stats(x)
-    args = (v, x, unit_prior(d_z), np.zeros(B, dtype=np.intp), 5e-3, rng.standard_normal((B, k, d_z)))
+    args = (v, x, unit_prior(d_z), "h", np.zeros(B, dtype=np.intp), 5e-3,
+            rng.standard_normal((B, k, d_z)))
     _agent_elbo(*args)
     tracemalloc.start()
     try:
