@@ -226,13 +226,16 @@ def xi_counts(
 
 def chol_logpdf(x: np.ndarray, mean: np.ndarray, chol_inv: np.ndarray, log_norm) -> np.ndarray:
     """log N(x; mean, L L^T) for each row of x, given L^-1 and the log-normalizer
-    of ``gauss.inverse_factors``; an inf or nan in x, mean or L^-1 is a ValueError."""
+    of ``gauss.inverse_factors``; an inf or nan in x, mean or L^-1 is a ValueError,
+    checked only when a row comes out non-finite, as such an entry always makes
+    one (inf * 0 is nan)."""
     diff = x - mean
-    if not (np.isfinite(diff).all() and np.isfinite(chol_inv).all()):
-        raise ValueError("array must not contain infs or NaNs")
     # a distance too large for float64 is inf, a log-density of -inf, which
     # the forward recursion reports as a collapse at its timestep
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         y = diff @ chol_inv.T
     # halving is exact, so this is -0.5 (maha + (log det + d log 2 pi)) bit for bit
-    return log_norm - 0.5 * np.einsum("ij,ij->i", y, y)
+    out = log_norm - 0.5 * np.einsum("ij,ij->i", y, y)
+    if not np.isfinite(out).all() and not (np.isfinite(diff).all() and np.isfinite(chol_inv).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return out

@@ -5,11 +5,14 @@ transform followed by a rotation about a unit axis, with a final tool
 transform. IK trades task-space error against distance to a preferred
 joint configuration, by damped Gauss-Newton (Levenberg-Marquardt style) on
 the geometric Jacobian, ``J_i = a_i x (p_ee - p_i)``, which comes out of the
-same forward pass as the end effector, batched over configurations; with
-the prior's weight at 0 it is plain damped least squares. Its restarts
-serve ``comotion ik-demo``'s global search over the objective's basins; the
-reactive loop runs the warm start alone, at 20 Hz. Each start runs its own
-descent, in order; a rejected step only raises the damping and solves again.
+same forward pass as the end effector; with the prior's weight at 0 it is
+plain damped least squares. Its restarts serve ``comotion ik-demo``'s global
+search over the objective's basins; the reactive loop runs the warm start
+alone, at 20 Hz. Each start runs its own descent, in order, on one
+configuration; a rejected step only raises the damping and solves again. At
+4 joints numpy's fixed cost per call outweighs its arithmetic, so the descent
+does its scalar work (squared norms, the joint-limit test, the step cap) on
+Python floats.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class KinematicChain:
 
     def clamp(self, q: np.ndarray, warn: bool = False) -> np.ndarray:
         lo, hi = self.limits
-        clamped = np.clip(q, lo, hi)
+        clamped = np.minimum(np.maximum(q, lo), hi)
         if warn and not np.allclose(clamped, q):
             log.warning("joint vector clamped to limits: %s -> %s", q, clamped)
         return clamped
@@ -117,7 +120,7 @@ class KinematicChain:
 def fk_pose(chain: KinematicChain, q) -> np.ndarray:
     """Full end-effector pose as a 4x4 homogeneous transform."""
     q = chain.clamp(_joint_vector(chain, q, "joint values"), warn=True)
-    return _joint_frames(chain, q[None])[0, -1]
+    return _joint_frames(chain, q)[-1]
 
 
 def _joint_vector(chain: KinematicChain, q, what: str) -> np.ndarray:
@@ -136,39 +139,38 @@ def fk(chain: KinematicChain, q) -> np.ndarray:
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric position Jacobian (3, n) at ``q``, which is not clamped."""
-    return _frames(chain, np.asarray(q, dtype=np.float64)[None])[1][0]
+    return _jacobian(chain, _joint_frames(chain, _joint_vector(chain, q, "joint values")))
 
 
-def _joint_frames(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
+def _joint_frames(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     """World frame of every joint after its rotation, then of the end effector,
-    (B, n+1, 4, 4), at the configurations ``Q`` (B, n), not clamped: the one pass."""
+    (n+1, 4, 4), at the configuration ``q`` (n,), not clamped: the one pass."""
     a, b, c, _ = chain._link_terms
-    links = a + np.cos(Q)[..., None, None] * b + np.sin(Q)[..., None, None] * c
-    frames = np.empty((Q.shape[0], chain.n_joints + 1, 4, 4))
+    links = a + np.cos(q)[:, None, None] * b + np.sin(q)[:, None, None] * c
+    n = len(q)
+    frames = np.empty((n + 1, 4, 4))
     t = chain.base
-    for i, link in enumerate([*np.swapaxes(links, 0, 1), chain.tool]):
-        t = np.matmul(t, link, out=frames[:, i])
+    for i in range(n):
+        t = np.matmul(t, links[i], frames[i])
+    np.matmul(t, chain.tool, frames[n])
     return frames
 
 
 _CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(9, 3)  # e_k x e_l at row 3 k + l
 
 
-def _frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint origins followed by the end effector (B, n+1, 3), and geometric
-    position Jacobians (B, 3, n), of the configurations ``Q`` (B, n), not
-    clamped, from one forward pass.
+def _jacobian(chain: KinematicChain, frames: np.ndarray) -> np.ndarray:
+    """Geometric position Jacobian (3, n) from the frames (n+1, 4, 4) of
+    ``_joint_frames``.
 
-    Column i of a Jacobian is ``a_i x (p_ee - p_i)`` for the world axis
-    ``a_i`` and origin ``p_i`` of joint i: the outer products of the axes and
-    offsets contracted with the Levi-Civita symbol.
+    Column i is ``a_i x (p_ee - p_i)`` for the world axis ``a_i`` and origin
+    ``p_i`` of joint i: the outer products of the axes and offsets contracted
+    with the Levi-Civita symbol.
     """
-    frames = _joint_frames(chain, Q)
-    points = frames[..., :3, 3]
-    axes = (frames[:, :-1, :3, :3] @ chain._link_terms[3][..., None])[..., 0]
-    d = points[:, -1:] - points[:, :-1]
-    outer = (axes[..., :, None] * d[..., None, :]).reshape(*d.shape[:2], 9)
-    return points, np.swapaxes(outer @ _CROSS, 1, 2)
+    points = frames[:, :3, 3]
+    axes = frames[:-1, :3, :3] @ chain._link_terms[3][..., None]
+    outer = axes * (points[-1] - points[:-1, None])
+    return (outer.reshape(-1, 9) @ _CROSS).T
 
 
 @dataclass
@@ -210,38 +212,42 @@ def ik_with_prior(
     if restarts < 0 or max_iters < 0:
         raise ValueError(f"restarts {restarts} and max_iters {max_iters} must be non-negative")
     x_target = np.asarray(x_target, dtype=np.float64)
-    if x_target.shape != (3,) or not np.all(np.isfinite(x_target)):
+    if x_target.shape != (3,) or not np.isfinite(x_target).all():
         raise ValueError(f"target position must be 3 finite values, got {x_target.tolist()}")
     mu_q = _joint_vector(chain, mu_q, "prior joint values")
-    if not np.all(np.isfinite(mu_q)):
+    if not np.isfinite(mu_q).all():
         raise ValueError("joint prior must be finite")
     draws = np.random.default_rng(0).uniform(*chain.limits, (restarts, len(mu_q))) if restarts else ()
-    runs = []
+    best, iters = None, 0
     for start in [chain.clamp(mu_q), *draws]:
-        runs.append(_prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, start[None],
-                                   grad_tol, max_iters))
-        if runs[0][1][0] == 0.0 and runs[0][3] == 0:  # an exact warm start is the answer
+        run = _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, start, grad_tol, max_iters)
+        iters += run[3]
+        if best is None or run[1] < best[1]:  # the first of equals
+            best = run
+        if run[1] == 0.0 and iters == 0:  # an exact warm start is the answer
             break
-    q, _, rx, _, converged = min(runs, key=lambda run: run[1][0])  # the first of equals
-    return IkSolution(q[0], float(np.linalg.norm(rx[0])), sum(run[3] for run in runs),
-                      bool(converged))
+    q, _, rx, _, converged = best
+    return IkSolution(q, float(np.linalg.norm(rx)), iters, converged)
 
 
-def _prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
-    """Prior-IK objective (B,), task residuals (B, 3) and Jacobians (B, 3, n) at ``Q``."""
-    points, jac = _frames(chain, Q)
-    rx = points[:, -1] - x_target
-    rq = Q - mu_q
-    obj = lambda_x * (rx * rx).sum(axis=1) + lambda_q * (rq * rq).sum(axis=1)
-    return obj, rx, jac
+def _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q):
+    """Prior-IK objective (a float), task residual (3,), prior residual (n,) and
+    frames (n+1, 4, 4) at ``q`` (n,). The squared norms are summed in order in
+    Python floats, as numpy sums fewer than 8 terms: numpy's sums bit for bit
+    on chains of up to 7 joints, within a few ulps on longer ones."""
+    frames = _joint_frames(chain, q)
+    rx, rq = frames[-1, :3, 3] - x_target, q - mu_q
+    x, y, z = rx.tolist()
+    obj = lambda_x * (x * x + y * y + z * z) + lambda_q * sum([r * r for r in rq.tolist()])
+    return obj, rx, rq, frames
 
 
 STALL_REL = 1e-7  # a prior-IK run stops once a step gains no more than this share
 
 
 def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_iters):
-    """Damped Gauss-Newton descent of the prior-IK objective from ``q`` (1, n):
-    the end point (1, n), its objective (1,) and task residual (1, 3), the
+    """Damped Gauss-Newton descent of the prior-IK objective from ``q`` (n,):
+    the end point (n,), its objective (a float) and task residual (3,), the
     iteration count and the convergence flag.
 
     Each accepted point (the start is one) forms the gradient and undamped
@@ -257,30 +263,33 @@ def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_i
     singular damped system, lambda_x's term drowning the rest, names lambda_x.
     """
     lo, hi = chain.limits
-    eye = np.eye(chain.n_joints)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    eye = np.eye(len(q))
     prior_h = lambda_q * eye
     lam, iters = 1e-3, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+        obj, rx, rq, frames = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
         while True:
-            xjt = lambda_x * np.swapaxes(jac, 1, 2)
-            g = 2.0 * ((xjt @ rx[:, :, None])[..., 0] + lambda_q * (q - mu_q))
+            jac = _jacobian(chain, frames)
+            xjt = lambda_x * jac.T
+            g = 2.0 * (xjt @ rx + lambda_q * rq)
             system = 2.0 * (xjt @ jac + prior_h)
-            if iters == 0 and not (np.isfinite(obj[0]) and np.isfinite(system).all()):
+            if iters == 0 and not (math.isfinite(obj) and np.isfinite(system).all()):
                 # the target or prior whose squared distance overflows, else the larger weight
-                task, prior = (rx * rx).sum(), ((q - mu_q) ** 2).sum()
+                task, prior = (rx * rx).sum(), (rq * rq).sum()
                 heavy_x = lambda_x * max(task, (jac * jac).sum()) > lambda_q * max(prior, 1.0)
                 name = ("x_target" if task == np.inf else "mu_q" if prior == np.inf
                         else "lambda_x" if heavy_x else "lambda_q")
                 raise ValueError(f"{name} out of range: the prior-IK objective or system at the "
-                                 f"start {q[0].tolist()} is not finite")
-            if iters == 0 and obj[0] == 0.0:
+                                 f"start {q.tolist()} is not finite")
+            if iters == 0 and obj == 0.0:
                 return q, obj, rx, 0, True
-            at_lo, at_hi, free = q <= lo, q >= hi, None  # None: every joint free
-            if (at_lo | at_hi).any():
-                free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
+            free = None  # None: every joint free
+            if any(not lo_i < q_i < hi_i for q_i, (lo_i, hi_i) in zip(q.tolist(), bounds)):
+                free = np.array([not (q_i <= lo_i and g_i > 0 or q_i >= hi_i and g_i < 0)
+                                 for q_i, g_i, (lo_i, hi_i) in zip(q.tolist(), g.tolist(), bounds)])
                 g = np.where(free, g, 0.0)
-            flat = np.sqrt((g * g).sum(axis=1))[0] < grad_tol
+            flat = math.sqrt(sum([g_i * g_i for g_i in g.tolist()])) < grad_tol
             if iters == max_iters:
                 return q, obj, rx, iters, flat
             iters += 1
@@ -289,22 +298,24 @@ def _prior_descent(chain, x_target, mu_q, lambda_x, lambda_q, q, grad_tol, max_i
             while True:
                 h = system + lam * eye
                 if free is not None:
-                    h = np.where(free[:, :, None] & free[:, None, :], h, eye)
+                    h = np.where(free[:, None] & free, h, eye)
                 try:
-                    step = np.linalg.solve(h, -g[..., None])[..., 0]
+                    step = np.linalg.solve(h, -g)
                 except np.linalg.LinAlgError:
                     raise ValueError(f"lambda_x out of range: the damped prior-IK system at "
-                                     f"{q[0].tolist()} is singular") from None
-                step *= _MAX_STEP / max(np.abs(step).max(), _MAX_STEP)
+                                     f"{q.tolist()} is singular") from None
+                biggest = max(map(abs, step.tolist()))
+                if biggest > _MAX_STEP:
+                    step *= _MAX_STEP / biggest
                 cand = np.minimum(np.maximum(q + step, lo), hi)
-                obj_c, rx_c, jac_c = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)
-                if obj_c[0] < obj[0]:
+                score = _prior_score(chain, cand, x_target, mu_q, lambda_x, lambda_q)
+                if score[0] < obj:
                     break
                 lam *= 4.0
                 if lam >= 1e8:
                     return q, obj, rx, iters, False
-            stalled = obj[0] - obj_c[0] <= STALL_REL * obj[0]
-            q, obj, rx, jac = cand, obj_c, rx_c, jac_c
+            stalled = obj - score[0] <= STALL_REL * obj
+            q, (obj, rx, rq, frames) = cand, score
             lam = max(lam * 0.5, 1e-9)
             if stalled:
                 return q, obj, rx, iters, True

@@ -8,6 +8,7 @@ against one Cholesky and one inverse per state and against scipy's
 ``multivariate_normal``.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -574,3 +575,30 @@ def test_chol_logpdf_rejects_non_finite_points_and_factors(bad):
     chol_inv[1, 0] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         K.chol_logpdf(np.zeros((3, 2)), np.zeros(2), chol_inv, log_norm)
+
+
+def test_chol_logpdf_rejects_an_inf_factor_entry_that_meets_a_zero_difference():
+    """Only the zero difference in column 0 meets the inf in L^-1, so no
+    product is inf: inf * 0 is nan, the row is non-finite and the inputs are
+    checked."""
+    chol_inv, log_norm = inverse_factors(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    chol_inv = chol_inv.copy()
+    chol_inv[1, 0] = np.inf
+    x = np.array([[0.0, 1.0], [0.0, -2.0]])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        K.chol_logpdf(x, np.zeros(2), chol_inv, log_norm)
+
+
+@pytest.mark.parametrize("far", [[1e200, 0.0], [-1e308, 1.7e308]])
+def test_chol_logpdf_of_an_overflowing_finite_distance_is_minus_inf(far):
+    """A finite point whose squared distance (first case) or whitened
+    difference (second case) overflows has a log-density of -inf, with no
+    warning, and the other rows are unchanged."""
+    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+    x = np.array([far, [0.5, -0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K.chol_logpdf(x, np.zeros(2), *inverse_factors(cov))
+    assert got[0] == -np.inf
+    np.testing.assert_allclose(got[1], multivariate_normal(np.zeros(2), cov).logpdf(x[1]),
+                               rtol=0, atol=1e-12)

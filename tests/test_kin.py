@@ -6,9 +6,9 @@ from comotion.kin import (
     IkSolution,
     KinematicChain,
     Joint,
-    _frames,
+    _jacobian,
+    _joint_frames,
     _prior_descent,
-    _prior_score,
     default_arm_chain,
     fk,
     fk_pose,
@@ -240,6 +240,13 @@ def test_fk_rejects_joint_vectors_of_the_wrong_shape(q):
         fk(default_arm_chain(), q)
 
 
+@pytest.mark.parametrize("q", [[0.3], [0.3] * 5, [[0.3] * 4], 0.3])
+def test_jacobian_rejects_joint_vectors_of_the_wrong_shape(q):
+    # one value would broadcast against the link terms, a Jacobian at [0.3] * 4
+    with pytest.raises(ValueError, match="expected 4 joint values"):
+        jacobian(default_arm_chain(), q)
+
+
 @pytest.mark.parametrize("mu_q", [[0.0], [0.0] * 5])
 def test_ik_prior_rejects_joint_vectors_of_the_wrong_length(mu_q):
     chain = default_arm_chain()
@@ -302,18 +309,17 @@ def test_jacobian_matches_central_differences():
 
 
 def test_fk_points_match_matrix_product():
-    """Joint origins, end effector and Jacobian of a batch of nine
-    configurations against the explicit matrix product, one configuration
-    at a time, with each Jacobian column the cross product of the joint's
-    world axis and its offset to the end effector."""
+    """Joint origins, end effector and Jacobian of nine configurations
+    against the explicit matrix product, with each Jacobian column the cross
+    product of the joint's world axis and its offset to the end effector."""
     rng = np.random.default_rng(7)
     for chain in (default_arm_chain(), planar_chain((1.0, 0.7, 0.4)), _random_chain(rng, 5)):
         lo, hi = chain.limits
-        qs = rng.uniform(lo, hi, size=(9, chain.n_joints))
-        points, jac = _frames(chain, qs)
-        assert points.shape == (9, chain.n_joints + 1, 3)
-        assert jac.shape == (9, 3, chain.n_joints)
-        for b, q in enumerate(qs):
+        for q in rng.uniform(lo, hi, size=(9, chain.n_joints)):
+            frames = _joint_frames(chain, q)
+            points, jac = frames[:, :3, 3], _jacobian(chain, frames)
+            assert points.shape == (chain.n_joints + 1, 3)
+            assert jac.shape == (3, chain.n_joints)
             t = chain.base.copy()
             origins, axes = [], []
             for joint, qi in zip(chain.joints, q):
@@ -322,8 +328,8 @@ def test_fk_points_match_matrix_product():
                 axes.append(t[:3, :3] @ joint.axis)
             expected = np.vstack(origins + [(t @ chain.tool)[:3, 3]])
             columns = [np.cross(a, expected[-1] - o) for a, o in zip(axes, origins)]
-            np.testing.assert_allclose(points[b], expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(jac[b], np.array(columns).T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(points, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-12)
 
 
 def test_ik_prior_restart_batch_matches_separate_runs():
@@ -343,12 +349,11 @@ def test_ik_prior_restart_batch_matches_separate_runs():
         draws = np.random.default_rng(0)
         starts = [chain.clamp(mu_q)] + [draws.uniform(lo, hi) for _ in range(8)]
         alone = [
-            _prior_descent(chain, target, mu_q, 1.0, 0.01, start[None], 1e-6, 200)
-            for start in starts
+            _prior_descent(chain, target, mu_q, 1.0, 0.01, start, 1e-6, 200) for start in starts
         ]
-        q, _, rx, _, converged = alone[int(np.argmin([run[1][0] for run in alone]))]
-        np.testing.assert_array_equal(batch.q, q[0])
-        assert batch.residual == float(np.linalg.norm(rx[0]))
+        q, _, rx, _, converged = alone[int(np.argmin([run[1] for run in alone]))]
+        np.testing.assert_array_equal(batch.q, q)
+        assert batch.residual == float(np.linalg.norm(rx))
         assert batch.converged == converged
         assert batch.iterations == sum(run[3] for run in alone)
         ends_on_limit += bool(np.any((batch.q == lo) | (batch.q == hi)))
@@ -370,7 +375,7 @@ def test_jacobian_matches_analytic_planar():
 def test_fk_points_ends_at_fk():
     chain = default_arm_chain()
     q = np.array([0.2, -0.1, 0.4, 1.2])
-    pts = _frames(chain, q[None])[0][0]
+    pts = _joint_frames(chain, q)[:, :3, 3]
     np.testing.assert_allclose(pts[-1], fk(chain, q), atol=1e-12)
     assert pts.shape == (5, 3)
 
@@ -402,6 +407,50 @@ def test_chain_json_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# A forward pass and score batched over a leading axis of configurations, for
+# the lockstep search below: it reproduces that search's arithmetic apart from
+# the solver's own one-configuration pass.
+def batched_joint_frames(chain: KinematicChain, Q: np.ndarray) -> np.ndarray:
+    """World frame of every joint after its rotation, then of the end effector,
+    (B, n+1, 4, 4), at the configurations ``Q`` (B, n), not clamped: the one pass."""
+    a, b, c, _ = chain._link_terms
+    links = a + np.cos(Q)[..., None, None] * b + np.sin(Q)[..., None, None] * c
+    frames = np.empty((Q.shape[0], chain.n_joints + 1, 4, 4))
+    t = chain.base
+    for i, link in enumerate([*np.swapaxes(links, 0, 1), chain.tool]):
+        t = np.matmul(t, link, out=frames[:, i])
+    return frames
+
+
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(9, 3)  # e_k x e_l at row 3 k + l
+
+
+def batched_frames(chain: KinematicChain, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint origins followed by the end effector (B, n+1, 3), and geometric
+    position Jacobians (B, 3, n), of the configurations ``Q`` (B, n), not
+    clamped, from one forward pass.
+
+    Column i of a Jacobian is ``a_i x (p_ee - p_i)`` for the world axis
+    ``a_i`` and origin ``p_i`` of joint i: the outer products of the axes and
+    offsets contracted with the Levi-Civita symbol.
+    """
+    frames = batched_joint_frames(chain, Q)
+    points = frames[..., :3, 3]
+    axes = (frames[:, :-1, :3, :3] @ chain._link_terms[3][..., None])[..., 0]
+    d = points[:, -1:] - points[:, :-1]
+    outer = (axes[..., :, None] * d[..., None, :]).reshape(*d.shape[:2], 9)
+    return points, np.swapaxes(outer @ _CROSS, 1, 2)
+
+
+def batched_prior_score(chain, Q, x_target, mu_q, lambda_x, lambda_q):
+    """Prior-IK objective (B,), task residuals (B, 3) and Jacobians (B, 3, n) at ``Q``."""
+    points, jac = batched_frames(chain, Q)
+    rx = points[:, -1] - x_target
+    rq = Q - mu_q
+    obj = lambda_x * (rx * rx).sum(axis=1) + lambda_q * (rq * rq).sum(axis=1)
+    return obj, rx, jac
+
+
 def _cap_step(step):
     """Scale each row of ``step`` (B, n) down so no entry exceeds 0.5 rad."""
     biggest = np.abs(step).max(axis=1, keepdims=True)
@@ -416,7 +465,7 @@ def prior_search_reference(chain, x_target, mu_q, lambda_x, lambda_q, starts, gr
     lo, hi = chain.limits
     eye = np.eye(chain.n_joints)
     q = starts.copy()
-    obj, rx, jac = _prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
+    obj, rx, jac = batched_prior_score(chain, q, x_target, mu_q, lambda_x, lambda_q)
     lam = np.full(q.shape[0], 1e-3)
     iters = np.zeros(q.shape[0], dtype=np.int64)
     converged = obj == 0.0
@@ -442,7 +491,7 @@ def prior_search_reference(chain, x_target, mu_q, lambda_x, lambda_q, starts, gr
         h = np.where(free[:, :, None] & free[:, None, :], h + lam[a, None, None] * eye, eye)
         step = np.linalg.solve(h, -g[..., None])[..., 0]
         cand = np.clip(qa + _cap_step(step), lo, hi)
-        obj_cand, rx_cand, jac_cand = _prior_score(
+        obj_cand, rx_cand, jac_cand = batched_prior_score(
             chain, cand, x_target, mu_q, lambda_x, lambda_q
         )
         better = obj_cand < obj[a]
@@ -465,7 +514,7 @@ def ik_with_prior_reference(
     """``ik_with_prior`` on the compacting search, with the warm start scored
     alone before the restarts are drawn."""
     q0 = chain.clamp(mu_q)
-    obj, rx, _ = _prior_score(chain, q0[None], x_target, mu_q, lambda_x, lambda_q)
+    obj, rx, _ = batched_prior_score(chain, q0[None], x_target, mu_q, lambda_x, lambda_q)
     if obj[0] == 0.0:
         return IkSolution(q0, float(np.linalg.norm(rx[0])), 0, True)
     lo, hi = chain.limits
@@ -536,11 +585,11 @@ def test_ik_prior_search_matches_compacting_reference(chain, target, mu_q, lambd
     )
     for i, start in enumerate(starts):
         q, obj, rx, iters, conv = _prior_descent(
-            chain, target, mu_q, 1.0, lambda_q, start[None], grad_tol, 200
+            chain, target, mu_q, 1.0, lambda_q, start, grad_tol, 200
         )
-        np.testing.assert_array_equal(q[0], ref_q[i])
-        np.testing.assert_array_equal(obj[0], ref_obj[i])
-        np.testing.assert_array_equal(rx[0], ref_rx[i])
+        np.testing.assert_array_equal(q, ref_q[i])
+        np.testing.assert_array_equal(obj, ref_obj[i])
+        np.testing.assert_array_equal(rx, ref_rx[i])
         assert (iters, conv) == (ref_iters[i], ref_conv[i])
 
     sol = ik_with_prior(chain, target, mu_q, 1.0, lambda_q, **kwargs)
@@ -550,6 +599,58 @@ def test_ik_prior_search_matches_compacting_reference(chain, target, mu_q, lambd
     assert (sol.residual, sol.iterations, sol.converged) == (
         ref.residual, ref.iterations, ref.converged
     )
+
+
+def test_ik_prior_matches_the_compacting_reference_on_random_arm_cases():
+    """On 200 random arm cases, with priors inside the joint limits and up to
+    0.4 rad outside them, and with 0 and 8 restarts, ``ik_with_prior`` returns
+    the compacting lockstep search's joints and residual bit for bit, and its
+    iteration count and convergence flag."""
+    chain = default_arm_chain()
+    lo, hi = chain.limits
+    rng = np.random.default_rng(29)
+    outside = 0
+    for i in range(200):
+        mu_q = rng.uniform(lo - 0.4, hi + 0.4) if i % 2 else rng.uniform(lo, hi)
+        outside += bool(np.any((mu_q < lo) | (mu_q > hi)))
+        target = fk(chain, rng.uniform(lo, hi)) + rng.normal(0.0, 0.05, 3)
+        for restarts in (0, 8):
+            sol = ik_with_prior(chain, target, mu_q, 1.0, 0.01, restarts=restarts)
+            ref = ik_with_prior_reference(chain, target, mu_q, 1.0, 0.01, restarts=restarts)
+            np.testing.assert_array_equal(sol.q, ref.q)
+            assert (sol.residual, sol.iterations, sol.converged) == (
+                ref.residual, ref.iterations, ref.converged
+            )
+    assert outside >= 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 9])
+def test_ik_prior_descent_on_random_chains_matches_the_reference(n):
+    """The descent sums its squared norms in order in Python floats, as numpy
+    sums fewer than 8 terms: on chains of up to 7 joints every run matches the
+    compacting search bit for bit. From 8 joints numpy sums in pairwise blocks,
+    and on a 9-joint chain the end points and objectives agree to 1e-12."""
+    rng = np.random.default_rng(30 + n)
+    chain = _random_chain(rng, n)
+    lo, hi = chain.limits
+    for _ in range(10):
+        mu_q = rng.uniform(lo, hi)
+        target = fk(chain, rng.uniform(lo, hi)) + rng.normal(0.0, 0.05, 3)
+        starts = np.vstack([mu_q, rng.uniform(lo, hi, (2, n))])
+        ref_q, ref_obj, ref_rx, ref_iters, ref_conv = prior_search_reference(
+            chain, target, mu_q, 1.0, 0.01, starts, 1e-6, 200
+        )
+        for i, start in enumerate(starts):
+            q, obj, rx, iters, conv = _prior_descent(
+                chain, target, mu_q, 1.0, 0.01, start, 1e-6, 200
+            )
+            if n <= 7:
+                np.testing.assert_array_equal(q, ref_q[i])
+                np.testing.assert_array_equal(rx, ref_rx[i])
+                assert (obj, iters, conv) == (ref_obj[i], ref_iters[i], ref_conv[i])
+            else:
+                np.testing.assert_allclose(q, ref_q[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(obj, ref_obj[i], rtol=1e-12, atol=0)
 
 
 def test_ik_prior_oracle_cases_cover_their_outcomes():
