@@ -122,36 +122,22 @@ def cmd_rollout(args) -> int:
     return 0
 
 
-def _finite_arg(flag: str, values, non_negative: bool = False) -> np.ndarray:
-    """A numeric flag's values; an inf, a nan or, when asked, a negative value is a ConfigError."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all() or (non_negative and (arr < 0).any()):
-        want = "finite and non-negative" if non_negative else "finite"
-        raise ConfigError(f"{flag} must be {want}, got {arr.tolist()}")
-    return arr
-
-
 def cmd_ik_demo(args) -> int:
     chain = load_chain(args.chain) if args.chain else default_arm_chain()
-    target = _finite_arg("--target", args.target)
-    mu_q = _finite_arg("--prior", args.prior) if args.prior else np.zeros(chain.n_joints)
-    if mu_q.shape != (chain.n_joints,):
-        raise ConfigError(f"--prior has {mu_q.size} values; the chain has {chain.n_joints} joints")
-    _finite_arg("--lambda-x", args.lambda_x, non_negative=True)
-    _finite_arg("--lambda-q", args.lambda_q, non_negative=True)
+    mu_q = args.prior if args.prior else np.zeros(chain.n_joints)
     try:
-        base = ik_with_prior(chain, target, np.zeros(chain.n_joints), 1.0, 0.0)
-        sol = ik_with_prior(chain, target, mu_q, args.lambda_x, args.lambda_q)
+        base = ik_with_prior(chain, args.target, np.zeros(chain.n_joints), 1.0, 0.0)
+        sol = ik_with_prior(chain, args.target, mu_q, args.lambda_x, args.lambda_q)
     except ValueError as exc:  # a value out of range for IK, named by its argument
-        arg, _, rest = str(exc).partition(" ")
+        name = str(exc).partition(" ")[0].rstrip(":")
         flag = {"x_target": "--target", "mu_q": "--prior", "lambda_x": "--lambda-x",
-                "lambda_q": "--lambda-q"}.get(arg, arg)
-        raise ConfigError(f"{flag} {rest}") from None
+                "lambda_q": "--lambda-q"}.get(name, name)
+        raise ConfigError(str(exc).replace(name, flag, 1)) from None
     print(f"baseline IK: q={np.round(base.q, 4).tolist()} residual={base.residual:.2e} "
           f"iters={base.iterations} converged={base.converged}")
     print(f"prior IK:    q={np.round(sol.q, 4).tolist()} residual={sol.residual:.2e} "
           f"iters={sol.iterations} converged={sol.converged}")
-    print(f"prior fk: {np.round(fk(chain, sol.q), 4).tolist()} target: {target.tolist()}")
+    print(f"prior fk: {np.round(fk(chain, sol.q), 4).tolist()} target: {args.target}")
     return 0
 
 
@@ -209,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training seed; for synth, the dataset seed, used only without --config")
     p.add_argument("--out", help="output directory or file")
     p.add_argument("--threads", type=int, default=0, help="worker processes for eval")
-    p.add_argument("--log-level", default="WARNING")
+    p.add_argument("--log-level", default="WARNING", type=str.upper,
+                   choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"])
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="generate a synthetic coupled dataset")
@@ -262,7 +249,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

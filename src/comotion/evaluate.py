@@ -181,8 +181,6 @@ def parse_experiment(config: dict) -> Experiment:
                   for label, c in f["contact_states"].items()}
     for label, (c, r) in state_sets.items():
         try:
-            if not all(map(is_int, [*c, *r])):
-                raise ValueError(f"state indices must be integers, got {c!r} and {r!r}")
             TransitionStateModel(c, r)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config field contact_states.{label}: {exc}") from None
@@ -262,8 +260,13 @@ def _seed_job(exp: Experiment, seed: int) -> dict:
 
 def run_experiment(config: dict | str | Path, out_dir: str | Path | None = None) -> EvalReport:
     """Train, evaluate and report over the (variant x seed) grid; ``out_dir``
-    overrides the config's ``out``."""
+    overrides the config's ``out``. State indices are range-checked first."""
     exp = parse_experiment(config if isinstance(config, dict) else load_config(config))
+    for label, (c, r) in exp.state_sets.items():
+        try:
+            TransitionStateModel(c, r).check_range(exp.train.n_states)
+        except ValueError as exc:
+            raise ConfigError(f"config field contact_states.{label}: {exc}") from None
     if out_dir:
         exp = replace(exp, out=Path(out_dir))
     with output_errors(exp.out):  # an unusable out fails before any training

@@ -49,6 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from comotion import _kernels
+from comotion.data import is_int
 from comotion.errors import NumericalError
 from comotion.gauss import Gaussian, inverse_factors, log_pdf, read_only, regularize_spd
 
@@ -452,19 +453,27 @@ def conditional_moments(
 
 @dataclass
 class TransitionStateModel:
-    """Contact/reach state labels plus the boundary-misclassification gate."""
+    """Contact/reach state labels plus the boundary-misclassification gate;
+    ValueError for a non-integer state index, no contact state or overlapping sets."""
 
     contact_states: frozenset[int]
     reach_states: frozenset[int]
     gate: Gaussian | None = None
 
     def __post_init__(self):
-        self.contact_states = frozenset(int(i) for i in self.contact_states)
-        self.reach_states = frozenset(int(i) for i in self.reach_states)
+        for name in ("contact_states", "reach_states"):
+            if not all(map(is_int, getattr(self, name))):
+                raise ValueError(f"state indices must be integers, got {getattr(self, name)!r}")
+            setattr(self, name, frozenset(map(int, getattr(self, name))))
         if not self.contact_states:
             raise ValueError("contact state set must not be empty")
         if self.contact_states & self.reach_states:
             raise ValueError("contact and reach state sets must be disjoint")
+
+    def check_range(self, n_states: int) -> None:
+        states = sorted(self.contact_states | self.reach_states)
+        if states[0] < 0 or states[-1] >= n_states:
+            raise ValueError(f"state indices {states} outside 0..{n_states - 1}")
 
     @classmethod
     def for_hmm(
@@ -474,14 +483,13 @@ class TransitionStateModel:
         reach_states,
         gate: Gaussian | None = None,
     ) -> "TransitionStateModel":
-        """ValueError when a state index is outside ``hmm``'s states or the
-        gate is not d_z wide."""
-        states = {int(i) for i in contact_states} | {int(i) for i in reach_states}
-        if any(not 0 <= i < hmm.n_states for i in states):
-            raise ValueError(f"state indices {sorted(states)} outside 0..{hmm.n_states - 1}")
+        """ValueError when the sets are rejected, a state index is outside
+        ``hmm``'s states or the gate is not d_z wide."""
+        tsm = cls(contact_states, reach_states, gate)
+        tsm.check_range(hmm.n_states)
         if gate is not None and gate.mean.shape != (hmm.d_z,):
             raise ValueError(f"gate is {gate.mean.shape[0]} wide, not d_z = {hmm.d_z}")
-        return cls(frozenset(contact_states), frozenset(reach_states), gate)
+        return tsm
 
     def to_dict(self) -> dict:
         return {

@@ -94,7 +94,8 @@ def reactive_step(
     command the one local IK solve from the decoded prediction, pulled toward
     it; see the module docstring for why it takes no restarts.
     ``smooth_weights``, oldest first, average the latest commands; they must
-    be finite and non-negative, the last > 0, else ValueError.
+    be finite and non-negative, the last > 0, else ValueError. A window that
+    is not the human VAE's input width is a DataError, as in ``encode_batch``.
     """
     if interaction not in bundle.hmms:
         raise ConfigError(f"unknown interaction {interaction!r}")
@@ -107,10 +108,8 @@ def reactive_step(
     v_h: Vae = bundle.human_vae
     v_r: Vae = bundle.robot_vae
     x_h = np.asarray(x_h, dtype=np.float64)
-    if x_h.shape[0] != v_h.input_dim:
-        raise ValueError(f"window width {x_h.shape[0]} != expected {v_h.input_dim}")
     n_r = v_r.input_dim // bundle.config.window
-    if not np.isfinite(x_h).all():
+    if not np.isfinite(x_h).all() and len(x_h) == v_h.input_dim:  # else encode_batch rejects it
         return _held_step(hmm, v_r, n_r, state)
     mu, var, _, _ = encode_batch(v_h, x_h[None, :])
     log_lik = state_log_liks(hmm, mu, "h")[0]

@@ -12,7 +12,8 @@ alone, at 20 Hz. Each start runs its own descent, in order, on one
 configuration; a rejected step only raises the damping and solves again. At
 4 joints numpy's fixed cost per call outweighs its arithmetic, so the descent
 does its scalar work (squared norms, the joint-limit test, the step cap) on
-Python floats.
+Python floats. Every ValueError of ``ik_with_prior`` names the argument at
+fault first, and ``comotion ik-demo`` maps that name to its flag.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class KinematicChain:
     def clamp(self, q: np.ndarray, warn: bool = False) -> np.ndarray:
         lo, hi = self.limits
         clamped = np.minimum(np.maximum(q, lo), hi)
-        if warn and not np.allclose(clamped, q):
+        if warn and (clamped != q).any() and not np.allclose(clamped, q):
             log.warning("joint vector clamped to limits: %s -> %s", q, clamped)
         return clamped
 
@@ -119,16 +120,16 @@ class KinematicChain:
 
 def fk_pose(chain: KinematicChain, q) -> np.ndarray:
     """Full end-effector pose as a 4x4 homogeneous transform."""
-    q = chain.clamp(_joint_vector(chain, q, "joint values"), warn=True)
+    q = chain.clamp(_joint_vector(chain, q, "q"), warn=True)
     return _joint_frames(chain, q)[-1]
 
 
-def _joint_vector(chain: KinematicChain, q, what: str) -> np.ndarray:
+def _joint_vector(chain: KinematicChain, q, name: str, what: str = "joint values") -> np.ndarray:
     """``q`` as a float array, checked to hold one value per joint: a vector
     of another length would broadcast against the limits in ``clamp``."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (chain.n_joints,):
-        raise ValueError(f"expected {chain.n_joints} {what}, got shape {q.shape}")
+        raise ValueError(f"{name}: expected {chain.n_joints} {what}, got shape {q.shape}")
     return q
 
 
@@ -139,7 +140,7 @@ def fk(chain: KinematicChain, q) -> np.ndarray:
 
 def jacobian(chain: KinematicChain, q) -> np.ndarray:
     """Geometric position Jacobian (3, n) at ``q``, which is not clamped."""
-    return _jacobian(chain, _joint_frames(chain, _joint_vector(chain, q, "joint values")))
+    return _jacobian(chain, _joint_frames(chain, _joint_vector(chain, q, "q")))
 
 
 def _joint_frames(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
@@ -202,21 +203,21 @@ def ik_with_prior(
     wins, ties going to the earliest start. The warm start, then each
     restart, runs its own ``_prior_descent``; a warm start that is already
     exact is returned with 0 iterations. ``residual`` reports the task-space
-    error of the result and ``iterations`` sums all runs. ValueError when
-    ``restarts`` or ``max_iters`` is negative, ``grad_tol`` is not finite
-    and non-negative, or a start is out of range (see ``_prior_descent``).
+    error of the result and ``iterations`` sums all runs. A ValueError names
+    the argument first: a weight, ``grad_tol`` or count not finite and non-
+    negative, a vector misshapen or not finite, or a start out of range.
     """
-    if not all(0.0 <= v < math.inf for v in (lambda_x, lambda_q, grad_tol)):  # a nan fails too
-        raise ValueError(f"lambda weights and grad_tol must be finite and non-negative: "
-                         f"{lambda_x}, {lambda_q}, {grad_tol}")
-    if restarts < 0 or max_iters < 0:
-        raise ValueError(f"restarts {restarts} and max_iters {max_iters} must be non-negative")
+    for name, value in (("lambda_x", lambda_x), ("lambda_q", lambda_q), ("grad_tol", grad_tol),
+                        ("restarts", restarts), ("max_iters", max_iters)):
+        if not 0.0 <= value < math.inf:  # a nan fails too
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     x_target = np.asarray(x_target, dtype=np.float64)
     if x_target.shape != (3,) or not np.isfinite(x_target).all():
-        raise ValueError(f"target position must be 3 finite values, got {x_target.tolist()}")
-    mu_q = _joint_vector(chain, mu_q, "prior joint values")
+        raise ValueError(f"x_target: target position must be 3 finite values, "
+                         f"got {x_target.tolist()}")
+    mu_q = _joint_vector(chain, mu_q, "mu_q", "prior joint values")
     if not np.isfinite(mu_q).all():
-        raise ValueError("joint prior must be finite")
+        raise ValueError("mu_q: joint prior must be finite")
     draws = np.random.default_rng(0).uniform(*chain.limits, (restarts, len(mu_q))) if restarts else ()
     best, iters = None, 0
     for start in [chain.clamp(mu_q), *draws]:

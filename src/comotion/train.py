@@ -311,8 +311,8 @@ def train_hri(
     missing = {f.label for f in fit} - set(hmms)
     if missing:
         raise ConfigError(f"stage-one bundle lacks interactions: {sorted(missing)}")
-    in_r = fit[0].x_r.shape[1]
-    v_r = Vae.create(in_r, config.d_z, config.hidden, rng)
+    # at stage one's width, so windows of another width are a DataError in encode_batch
+    v_r = Vae.create(bundle_hhi.robot_vae.input_dim, config.d_z, config.hidden, rng)
     v_r.x_mean, v_r.x_std = bundle_hhi.robot_vae.x_mean, bundle_hhi.robot_vae.x_std
     opt = AdamState.for_params(v_r.params, lr=config.lr, weight_decay=config.weight_decay)
     k = config.mc_samples
@@ -393,10 +393,7 @@ def fit_transition_states(
                 "no misclassified boundary points for %r; gate disabled", label
             )
             gate = None
-        new_hmms[label] = (
-            hmm_c,
-            TransitionStateModel.for_hmm(hmm_c, tsm.contact_states, tsm.reach_states, gate),
-        )
+        new_hmms[label] = (hmm_c, replace(tsm, gate=gate))
     return replace(bundle, hmms=new_hmms)
 
 

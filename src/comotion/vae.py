@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from comotion.errors import ConfigError
+from comotion.errors import ConfigError, DataError
 from comotion.gauss import _LOG_2PI, regularize_spd
 from comotion.hmm import Hmm, conditional_means, conditional_moments
 from comotion.net import Mlp, mlp_backward, mlp_forward
@@ -151,7 +151,10 @@ class Vae:
 
 
 def encode_batch(v: Vae, x: np.ndarray):
-    """(mu, var, dvar_dlogvar, tape) for a (B, input_dim) batch of raw windows."""
+    """(mu, var, dvar_dlogvar, tape) for a (B, input_dim) batch of raw windows;
+    a batch of another width is a DataError naming both widths."""
+    if x.shape[1:] != (v.input_dim,):
+        raise DataError(f"windows of shape {x.shape}, not the model's input width {v.input_dim}")
     out, tape = mlp_forward(v.encoder, v.standardize(x))
     mu = out[..., : v.d_z]
     raw = np.exp(out[..., v.d_z :])

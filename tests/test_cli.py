@@ -462,6 +462,60 @@ def test_rollout_of_a_checkpoint_with_a_negative_transition_is_exit_2(small_mode
     assert f"interactions.{label}" in err and "trans row 0" in err and "Traceback" not in err
 
 
+def _narrowed_dataset(ds: Path, out: Path, agent: str, columns: int) -> Path:
+    """A copy of ``ds`` whose ``agent`` ("h" or "r") CSVs keep their first ``columns`` columns."""
+    shutil.copytree(ds, out)
+    for path in out.glob(f"*_{agent}.csv"):
+        rows = path.read_text().splitlines()
+        path.write_text("".join(",".join(row.split(",")[:columns]) + "\n" for row in rows))
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, agent, columns",
+    [
+        (["rollout", "--model", "{model}"], "h", 3),
+        (["inspect-hmm", "--model", "{model}"], "h", 3),
+        (["--config", "{config}", "train-hri", "--hhi", "{model}"], "h", 3),
+        (["--config", "{config}", "train-hri", "--hhi", "{model}"], "r", 3),
+    ],
+    ids=["rollout-one-joint", "inspect-hmm-one-joint", "train-hri-one-joint",
+         "train-hri-other-robot-joint-count"],
+)
+def test_dataset_of_another_width_than_the_model_is_exit_3(small_model, tmp_path, capsys, argv,
+                                                           agent, columns):
+    ds, model = small_model
+    narrow = _narrowed_dataset(ds, tmp_path / "narrow", agent, columns)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_small_config()))
+    argv = [a.format(model=model, config=config) for a in argv] + ["--data", str(narrow)]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 3
+    err = capsys.readouterr().err
+    assert "width" in err and "Traceback" not in err
+
+
+def test_eval_state_index_outside_n_states_fails_before_any_training(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_small_config(contact_states={"greet": [9]})))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), "eval"]) == 2
+    err = capsys.readouterr().err
+    assert "contact_states.greet: state indices [9] outside 0..2" in err
+    assert not list(tmp_path.rglob("hhi_model.json"))
+
+
+@pytest.mark.parametrize("level", ["DEBG", "basic_format", "warning"])
+def test_log_level_must_name_a_logging_level(capsys, level):
+    argv = ["--log-level", level, "ik-demo", "--target", "0.2", "0.05", "-0.1"]
+    if level == "warning":  # matched whatever its case
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "--log-level" in err and "Traceback" not in err
+
+
 def test_cli_loads_no_scipy_until_the_rank_test_runs():
     # a fresh interpreter: this one has scipy loaded by other test modules
     package = Path(comotion.__file__).resolve().parent

@@ -10,7 +10,7 @@ from comotion.data import (
     window_features,
 )
 from comotion import infer
-from comotion.errors import ConfigError
+from comotion.errors import ConfigError, DataError
 from comotion.gauss import Gaussian, log_pdf
 from comotion.hmm import Hmm, TransitionStateModel
 from comotion.infer import (
@@ -65,7 +65,7 @@ def test_reactive_step_unknown_interaction(trained):
 
 
 def test_reactive_step_width_mismatch(trained):
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(DataError, match="width"):
         reactive_step(trained, "greet", np.zeros(89), None, None, ReactiveState())
 
 

@@ -1,3 +1,6 @@
+import inspect
+import logging
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,14 @@ def test_fk_clamps_out_of_limit():
     lo, hi = chain.limits
     over = hi + 1.0
     np.testing.assert_allclose(fk(chain, over), fk(chain, hi), atol=1e-12)
+
+
+@pytest.mark.parametrize("q, warns", [([0.0] * 4, False), ([10.0, 0.0, 0.0, 0.0], True),
+                                      ([np.nan, 0.0, 0.0, 0.0], True)])
+def test_clamp_warns_only_when_it_moves_a_joint(caplog, q, warns):
+    with caplog.at_level(logging.WARNING, logger="comotion.kin"):
+        default_arm_chain().clamp(np.array(q), warn=True)
+    assert ("clamped to limits" in caplog.text) == warns
 
 
 def test_joint_requires_unit_axis():
@@ -258,6 +269,32 @@ def test_ik_prior_rejects_joint_vectors_of_the_wrong_length(mu_q):
 def test_ik_prior_rejects_a_target_that_is_not_3_finite_values(target):
     with pytest.raises(ValueError, match="target position must be 3 finite values"):
         ik_with_prior(default_arm_chain(), target, np.zeros(4))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"lambda_x": -1.0}),
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"lambda_x": np.nan}),
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"lambda_q": np.inf}),
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"grad_tol": -1e-6}),
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"restarts": -1}),
+    (([1.0, 0.0, 0.0], [0.0, 0.0]), {"max_iters": -1}),
+    (([1.0, 0.0], [0.0, 0.0]), {}),
+    (([np.nan, 0.0, 0.0], [0.0, 0.0]), {}),
+    (([1.0, 0.0, 0.0], [0.0]), {}),
+    (([1.0, 0.0, 0.0], [np.inf, 0.0]), {}),
+    (([1e300, 0.0, 0.0], [0.0, 0.0]), {}),
+    (([1.0, 0.0, 0.0], [1e200, 0.0]), {}),
+    (([1.0, 0.5, 0.0], [0.0, 0.0]), {"lambda_x": 1e308}),
+    (([1.0, 0.5, 0.0], [0.0, 0.0]), {"lambda_q": 1e308}),
+], ids=["lambda-x-negative", "lambda-x-nan", "lambda-q-inf", "grad-tol-negative",
+        "restarts-negative", "max-iters-negative", "target-shape", "target-nan", "prior-shape",
+        "prior-inf", "target-overflow", "prior-overflow", "lambda-x-overflow", "lambda-q-overflow"])
+def test_ik_prior_error_starts_with_the_name_of_the_argument(args, kwargs):
+    """``comotion ik-demo`` maps that first word to its flag."""
+    with pytest.raises(ValueError) as err:
+        ik_with_prior(planar_chain(), *args, **kwargs)
+    name = str(err.value).split()[0].rstrip(":")
+    assert name in inspect.signature(ik_with_prior).parameters and name != "chain"
 
 
 def _fk_reference(chain, q):

@@ -579,6 +579,18 @@ def _negative_state(doc):
     _write_transition_model(doc, [-1])
 
 
+def _float_state(doc):
+    _write_transition_model(doc, [1.5])
+
+
+def _string_state(doc):
+    _write_transition_model(doc, ["2"])
+
+
+def _bool_state(doc):
+    _write_transition_model(doc, [True])
+
+
 def _narrow_gate(doc):
     _write_transition_model(doc, [1, 2], gate_width=2)
 
@@ -589,6 +601,9 @@ def _narrow_gate(doc):
         (None, "Expecting"),  # truncated mid-document
         (_state_out_of_range, "field interactions.greet: ValueError('state indices [0, 7] outside"),
         (_negative_state, "field interactions.greet: ValueError('state indices [-1, 0] outside"),
+        (_float_state, "field interactions.greet: ValueError('state indices must be integers"),
+        (_string_state, "field interactions.greet: ValueError(\"state indices must be integers"),
+        (_bool_state, "field interactions.greet: ValueError('state indices must be integers"),
         (_narrow_gate, "field interactions.greet: ValueError('gate is 2 wide, not d_z = 5')"),
         (_drop_human_vae, "field human_vae: KeyError"),
         (_corrupt, "interactions.greet.components.2.cov.1.1 is not finite"),

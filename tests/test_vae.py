@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from comotion import vae
-from comotion.errors import ConfigError, NumericalError
+from comotion.errors import ConfigError, DataError, NumericalError
 from comotion.gauss import Gaussian
 from comotion.hmm import Hmm, conditional_moments
 from comotion.net import AdamState, adam_step, mlp_backward, mlp_forward
@@ -93,7 +93,7 @@ def test_encode_identity_weights_reproduce_input():
 
 def test_encode_shape_check():
     v = zero_vae(4, 2)
-    with pytest.raises(ValueError, match="width"):
+    with pytest.raises(DataError, match="width"):
         encode_batch(v, np.zeros((1, 5)))
 
 
